@@ -1,6 +1,6 @@
 """Stamp benchmark JSON files with schema/host metadata and history.
 
-``make bench-json`` / ``bench_kernel.py`` / ``bench_cache.py`` emit
+``make bench-json`` / ``bench_cache.py`` / ``bench_scale.py`` emit
 benchmark payloads.  This module gives every ``BENCH_*.json`` a shared
 envelope so downstream tooling (``repro report`` in particular) can
 track the perf trajectory across revisions and machines:
@@ -20,7 +20,7 @@ byte-reproducible for identical runs (RPR002 stays happy too).
 Usage::
 
     # annotate/backfill in place (v1 files become history entry 0):
-    python benchmarks/annotate_bench.py BENCH_kernel.json
+    python benchmarks/annotate_bench.py BENCH_scale.json
 
     # fold a freshly generated payload into a history-bearing file:
     python benchmarks/annotate_bench.py BENCH_micro.json \

@@ -15,10 +15,10 @@ hashes exactly four things:
   orphans every existing entry at once;
 * the **code fingerprint** — see :mod:`repro.cache.fingerprint`;
 * the **environment pin** — the numpy version (or ``None`` when numpy
-  is absent).  The fluid backend and the batched fan-out kernel draw
-  through numpy's bit generators, whose stream layouts numpy only
-  guarantees within a version, so an upgrade must orphan vectorized
-  results rather than replay them.
+  is absent).  The fluid backend draws through numpy's bit
+  generators, whose stream layouts numpy only guarantees within a
+  version, so an upgrade must orphan vectorized results rather than
+  replay them.
 
 Seeds need no special slot: simulation cells carry ``seed`` in their
 kwargs, and analytic cells are seed-independent by construction.

@@ -526,36 +526,6 @@ class Environment:
             )
         return event
 
-    def timeout_at(self, when: float, value: Any = None) -> Timeout:
-        """Create an event that triggers at absolute time ``when``.
-
-        Unlike ``timeout(when - now)``, the heap key is exactly ``when``
-        — no float round-trip through a delay subtraction — so a caller
-        that stored a due time ``now + delay`` earlier can hit the same
-        instant, to the ulp, that ``timeout(delay)`` would have hit then.
-        The channels' persistent delivery loops rely on this to keep
-        delayed deliveries byte-identical to the per-packet process spawn
-        they replaced.
-        """
-        if when < self._now:
-            raise SimulationError(
-                f"timeout_at({when}) is in the past (now={self._now})"
-            )
-        event = Event.__new__(Timeout)
-        event.env = self
-        event.callbacks = []
-        event._value = value
-        event._ok = True
-        event._defused = False
-        event._delay = when - self._now
-        self._eid = eid = self._eid + 1
-        _heappush(self._queue, (when, NORMAL, eid, event))
-        if self._trace_kernel:
-            self._trace.emit(
-                _KERNEL, "timer_set", self._now, delay=event._delay, eid=eid
-            )
-        return event
-
     def timeout_many(
         self,
         delays: Iterable[float],

@@ -19,16 +19,9 @@ from repro.net.loss import (
     NoLoss,
     TotalLoss,
     TraceLoss,
-    rng_sources,
 )
 from repro.net.link import Link
-from repro.net.channel import (
-    Channel,
-    DuplexPath,
-    MulticastChannel,
-    fanout_mode,
-    set_fanout_mode,
-)
+from repro.net.channel import Channel, DuplexPath, MulticastChannel
 from repro.net.capture import CaptureRecord, PacketCapture
 
 __all__ = [
@@ -48,9 +41,6 @@ __all__ = [
     "PacketCapture",
     "TotalLoss",
     "TraceLoss",
-    "fanout_mode",
     "kbps_to_pps",
     "pps_to_kbps",
-    "rng_sources",
-    "set_fanout_mode",
 ]

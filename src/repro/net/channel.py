@@ -7,56 +7,23 @@ that; :class:`MulticastChannel` extends it with per-receiver independent
 loss, and :class:`DuplexPath` pairs a forward data channel with a
 reverse feedback channel.
 
-Batched fan-out (docs/KERNEL.md, "Performance"): the multicast hot loop
-compiles the receiver set into a dense dispatch registry — one row per
-active receiver with the loss draw pre-bound — rebuilt only on
-join/leave/block churn, and both channels replace the per-delayed-packet
-process spawn with a single persistent delivery process fed from a
-time-ordered deque.  The legacy scalar loop is kept behind
-:func:`set_fanout_mode` as the defining reference: seeded results in
-either mode are byte-for-byte identical (pinned by the channel
-equivalence tests and ``make bench-kernel``).
+Multicast fan-out (docs/KERNEL.md, "Multicast fan-out"): the hot loop
+walks a dense dispatch registry — one row per receiver that can be
+delivered to, with its loss draw pre-bound — rebuilt only on
+join/leave/block churn.  Seeded outputs are pinned by golden digests
+(``tests/net/test_fanout.py`` and ``benchsuite/golden.json``).
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from typing import Any, Callable, Dict, Optional
 
 from repro.des import Environment, Store
-from repro.net.loss import (
-    BernoulliLoss,
-    CombinedLoss,
-    DeterministicLoss,
-    GilbertElliottLoss,
-    LossModel,
-    NoLoss,
-    TotalLoss,
-    TraceLoss,
-    rng_sources,
-)
-from repro.net.packet import Packet, _packet_ids, kbps_to_pps
+from repro.net.loss import BernoulliLoss, LossModel, NoLoss, TotalLoss
+from repro.net.packet import Packet, kbps_to_pps
 from repro.obs import runtime as _obs
 from repro.obs.trace import PACKET as _PACKET
-
-#: Runtime selector for the multicast fan-out implementation.  The
-#: scalar mode is the original per-receiver ``is_lost()`` loop (with the
-#: per-delayed-packet process spawn); batched is the registry-driven
-#: fast path.  Both produce identical seeded results — the toggle exists
-#: so benchmarks and equivalence tests can compare them in-process.
-_FANOUT_MODE = "batched"
-
-def set_fanout_mode(mode: str) -> None:
-    """Select the fan-out implementation: ``"scalar"`` or ``"batched"``."""
-    global _FANOUT_MODE
-    if mode not in ("scalar", "batched"):
-        raise ValueError(f"fanout mode must be 'scalar' or 'batched', got {mode!r}")
-    _FANOUT_MODE = mode
-
-
-def fanout_mode() -> str:
-    """The currently selected fan-out implementation."""
-    return _FANOUT_MODE
 
 
 class Channel:
@@ -93,11 +60,6 @@ class Channel:
         self._sinks: list[Callable[[Packet], None]] = []
         self._serviced_hooks: list[Callable[[Packet, bool], None]] = []
         self._completions: dict[int, Any] = {}
-        #: Pending delayed deliveries as (due, packet); FIFO order is
-        #: time order because the propagation delay is fixed.
-        self._delay_queue: deque[tuple[float, Packet]] = deque()
-        self._delivery_proc: Optional[Any] = None
-        self._delivery_wakeup: Optional[Any] = None
         self.packets_sent = 0
         self.packets_delivered = 0
         self.packets_dropped = 0
@@ -199,44 +161,13 @@ class Channel:
                 continue
             self.packets_delivered += 1
             if self.delay > 0:
-                if _FANOUT_MODE == "scalar":
-                    # Reference path: one short-lived process per packet.
-                    self.env.process(self._deliver_after(packet, self.delay))
-                else:
-                    self._enqueue_delayed(packet)
+                self.env.process(self._deliver_after(packet))
             else:
                 self._deliver(packet)
 
-    def _deliver_after(self, packet: Packet, delay: float):
-        yield self.env.timeout(delay)
+    def _deliver_after(self, packet: Packet):
+        yield self.env.timeout(self.delay)
         self._deliver(packet)
-
-    def _enqueue_delayed(self, packet: Packet) -> None:
-        # The due time is computed *now* (at service completion), so the
-        # delivery loop's timeout_at lands on the exact float the legacy
-        # per-packet timeout(delay) would have produced.
-        self._delay_queue.append((self.env._now + self.delay, packet))
-        wakeup = self._delivery_wakeup
-        if wakeup is not None:
-            self._delivery_wakeup = None
-            wakeup.succeed()
-        elif self._delivery_proc is None:
-            self._delivery_proc = self.env.process(self._delivery_loop())
-
-    def _delivery_loop(self):
-        """One persistent process drains all delayed deliveries in order."""
-        queue = self._delay_queue
-        env = self.env
-        while True:
-            if not queue:
-                self._delivery_wakeup = wakeup = env.event()
-                yield wakeup
-                continue
-            due = queue[0][0]
-            if due > env._now:
-                yield env.timeout_at(due)
-                continue
-            self._deliver(queue.popleft()[1])
 
     def _deliver(self, packet: Packet) -> None:
         tr = self.env._trace
@@ -262,44 +193,28 @@ class Channel:
 
 
 #: Fan-out registry row kinds.  _NEVER rows always deliver (no draw, no
-#: outcomes write — the pass_template already says False); always-lost
-#: and blocked receivers get no row at all, their True outcome is
-#: likewise pre-resolved into the pass_template.
+#: outcomes write — the pass_template already says False); _BERNOULLI
+#: rows draw ``rand() < rate`` with both pre-bound; _GENERIC rows call
+#: the model's ``is_lost()``.  Always-lost and blocked receivers get no
+#: row at all: their True outcome is pre-resolved into the pass_template.
 _NEVER = 0
 _BERNOULLI = 1
 _GENERIC = 2
-_GROUPED = 3
-
-#: Model types whose ``draw_batch`` may be consumed as one grouped batch
-#: per packet when shared by several receivers.  ``rng_sources`` can see
-#: all of their randomness, which is what makes the reordering check
-#: sound; unknown subclasses stay on in-order _GENERIC rows (always
-#: exact, whatever rng they hide).
-_GROUPABLE = (GilbertElliottLoss, DeterministicLoss, TraceLoss, CombinedLoss)
-
-#: ``object.__new__`` bound once: the fan-out loops build per-receiver
-#: packet clones without a constructor (or even a method) call.
-_new_instance = object.__new__
 
 
 class _FanoutRegistry:
     """Dense dispatch table for one multicast receiver set.
 
     ``rows`` holds one ``(kind, a, b, receiver_id, sink)`` tuple per
-    receiver that can ever be delivered to, in join order — except when
-    ``uniform_bernoulli`` is set (every row is a Bernoulli draw), where
-    rows shrink to ``(rand, rate, receiver_id, sink)`` 4-tuples for the
-    specialized loop's direct unpacking.  Both templates hold every
-    member in join order: ``template`` is the all-True outcomes dict
-    returned when the shared upstream loss eats the packet;
-    ``pass_template`` pre-resolves every constant outcome (blocked /
-    always-lost members True, never-lost and drawing members False) so
-    the loops only write the *lost* draws.  ``groups`` lists
-    ``(model, count)`` for shared models drawn as one
-    ``draw_batch(count)`` per packet.
+    receiver that can ever be delivered to, in join order.  Both
+    templates hold every member in join order: ``template`` is the
+    all-True outcomes dict returned when the shared upstream loss eats
+    the packet; ``pass_template`` pre-resolves every constant outcome
+    (blocked / always-lost members True, never-lost and drawing members
+    False) so the loop only writes the *lost* draws.
     """
 
-    __slots__ = ("rows", "template", "pass_template", "groups", "uniform_bernoulli")
+    __slots__ = ("rows", "template", "pass_template")
 
 
 class MulticastChannel:
@@ -336,11 +251,6 @@ class MulticastChannel:
         self._serviced_hooks: list[Callable[[Packet, Dict[Any, bool]], None]] = []
         self._completions: Dict[int, Any] = {}
         self._registry: Optional[_FanoutRegistry] = None
-        self._delay_queue: deque[tuple[float, Packet, Callable[[Packet], None]]] = (
-            deque()
-        )
-        self._delivery_proc: Optional[Any] = None
-        self._delivery_wakeup: Optional[Any] = None
         #: Per-receiver announcement exposure counts, folded lazily: the
         #: pump bumps one epoch counter per packet and membership
         #: changes / loss-rate queries credit the epoch to every current
@@ -348,8 +258,8 @@ class MulticastChannel:
         self._exposures: Dict[Any, int] = {}
         self._epoch_packets = 0
         self.packets_sent = 0
-        #: Delivery counts are folded just as lazily: the batched loops
-        #: append surviving receiver ids to ``_delivery_hits`` and the
+        #: Delivery counts are folded just as lazily: the fan-out loop
+        #: appends surviving receiver ids to ``_delivery_hits`` and the
         #: ``delivered_per_receiver`` property folds them through one
         #: C-level ``Counter`` pass on read.
         self._delivered: Dict[Any, int] = {}
@@ -410,7 +320,7 @@ class MulticastChannel:
         :meth:`unblock`) invalidate automatically; call this after
         mutating a joined receiver's loss model *in place* (changing a
         Bernoulli rate, swapping its entry's model object) so the
-        batched path re-reads it.
+        fan-out re-reads it.
         """
         self._registry = None
 
@@ -462,7 +372,7 @@ class MulticastChannel:
             self._epoch_packets = 0
 
     def _fold_delivery_hits(self) -> None:
-        """Fold pending batched-loop delivery hits into the counts."""
+        """Fold pending fan-out delivery hits into the counts."""
         hits = self._delivery_hits
         if hits:
             delivered = self._delivered
@@ -518,10 +428,7 @@ class MulticastChannel:
             self._epoch_packets += 1
             tr = self.env._trace
             trace_packets = tr is not None and tr.packet
-            if _FANOUT_MODE == "scalar":
-                outcomes = self._fanout_scalar(packet, tr, trace_packets)
-            else:
-                outcomes = self._fanout_batched(packet, tr, trace_packets)
+            outcomes = self._fanout(packet, tr if trace_packets else None)
             if trace_packets:
                 tr.emit(
                     _PACKET,
@@ -541,47 +448,13 @@ class MulticastChannel:
             if completion is not None:
                 completion.succeed(outcomes)
 
-    def _fanout_scalar(self, packet: Packet, tr, trace_packets: bool):
-        """The original per-receiver loop — the defining reference path."""
-        outcomes: Dict[Any, bool] = {}
-        upstream_lost = self.shared_loss.is_lost()
-        delivered = self.delivered_per_receiver
-        for receiver_id, (loss, sink) in list(self._receivers.items()):
-            if receiver_id in self._blocked:
-                outcomes[receiver_id] = True
-                continue
-            lost = upstream_lost or loss.is_lost()
-            outcomes[receiver_id] = lost
-            if lost:
-                continue
-            delivered[receiver_id] += 1
-            delivery = packet.copy_for(receiver_id)
-            if trace_packets:
-                tr.emit(
-                    _PACKET,
-                    "packet_delivered",
-                    self.env.now,
-                    kind=packet.kind,
-                    key=packet.key,
-                    seq=packet.seq,
-                    receiver=receiver_id,
-                    chan=self.chan,
-                )
-            if self.delay > 0:
-                self.env.process(self._deliver_after(delivery, sink))
-            else:
-                sink(delivery)
-        return outcomes
+    def _fanout(self, packet: Packet, tr) -> Dict[Any, bool]:
+        """Draw every receiver's loss and deliver to the survivors.
 
-    def _fanout_batched(self, packet: Packet, tr, trace_packets: bool):
-        """Registry-driven fan-out: identical outcomes, far fewer dispatches.
-
-        Exactness argument: rows are evaluated in join order, so every
-        rng's draw sequence matches the scalar loop; grouped models draw
-        their whole batch up front, which only commutes because the
-        registry builder proved their rngs are private to them; and an
-        upstream loss short-circuits all per-receiver draws exactly like
-        the scalar ``upstream_lost or loss.is_lost()``.
+        Rows are evaluated in join order, so each loss model sees its
+        draws in the same order as a plain per-receiver ``is_lost()``
+        loop would; an upstream loss short-circuits every per-receiver
+        draw.  ``tr`` is the tracer when packet tracing is on, else None.
         """
         registry = self._registry
         if registry is None:
@@ -590,174 +463,55 @@ class MulticastChannel:
             return registry.template.copy()
         outcomes = registry.pass_template.copy()
         record_hit = self._delivery_hits.append
-        delay = self.delay
-        now = self.env._now
-        fast_copy = packet._copy_fast
-        kind = packet.kind
-        key = packet.key
-        seq = packet.seq
-        if registry.uniform_bernoulli:
-            # Homogeneous fast loop: every row draws `rand() < rate`.
-            # The per-receiver clone (see Packet._copy_fast) is inlined
-            # here — at tens of thousands of survivors per burst even
-            # the method-call frame is measurable.
-            payload = packet.payload
-            created_at = packet.created_at
-            size_bits = packet.size_bits
-            new = _new_instance
-            new_uid = _packet_ids.__next__
-            if not trace_packets and delay == 0.0:
-                for rand, rate, receiver_id, sink in registry.rows:
-                    if rand() < rate:
-                        outcomes[receiver_id] = True
-                        continue
-                    record_hit(receiver_id)
-                    delivery = new(Packet)
-                    delivery.kind = kind
-                    delivery.key = key
-                    delivery.payload = payload
-                    delivery.seq = seq
-                    delivery.created_at = created_at
-                    delivery.size_bits = size_bits
-                    delivery.uid = new_uid()
-                    sink(delivery)
-                return outcomes
-            for rand, rate, receiver_id, sink in registry.rows:
-                if rand() < rate:
-                    outcomes[receiver_id] = True
-                    continue
-                record_hit(receiver_id)
-                delivery = new(Packet)
-                delivery.kind = kind
-                delivery.key = key
-                delivery.payload = payload
-                delivery.seq = seq
-                delivery.created_at = created_at
-                delivery.size_bits = size_bits
-                delivery.uid = new_uid()
-                if trace_packets:
-                    tr.emit(
-                        _PACKET,
-                        "packet_delivered",
-                        now,
-                        kind=kind,
-                        key=key,
-                        seq=seq,
-                        receiver=receiver_id,
-                        chan=self.chan,
-                    )
-                if delay > 0:
-                    self._enqueue_delayed(delivery, sink)
-                else:
-                    sink(delivery)
-            return outcomes
-        groups = registry.groups
-        flags = (
-            [model.draw_batch(count) for model, count in groups]
-            if groups
-            else None
-        )
-        for row_kind, a, b, receiver_id, sink in registry.rows:
-            if row_kind == _BERNOULLI:
+        copy_for = packet.copy_for
+        delayed = self.delay > 0
+        for kind, a, b, receiver_id, sink in registry.rows:
+            if kind == _BERNOULLI:
                 if a() < b:
                     outcomes[receiver_id] = True
                     continue
-            elif row_kind == _GENERIC:
+            elif kind == _GENERIC:
                 if a.is_lost():
                     outcomes[receiver_id] = True
                     continue
-            elif row_kind == _GROUPED:
-                if flags[a][b]:
-                    outcomes[receiver_id] = True
-                    continue
             record_hit(receiver_id)
-            delivery = fast_copy()
-            if trace_packets:
+            delivery = copy_for(receiver_id)
+            if tr is not None:
                 tr.emit(
                     _PACKET,
                     "packet_delivered",
-                    now,
-                    kind=kind,
-                    seq=seq,
+                    self.env._now,
+                    kind=packet.kind,
+                    key=packet.key,
+                    seq=packet.seq,
                     receiver=receiver_id,
                     chan=self.chan,
                 )
-            if delay > 0:
-                self._enqueue_delayed(delivery, sink)
+            if delayed:
+                self.env.process(self._deliver_after(delivery, sink))
             else:
                 sink(delivery)
         return outcomes
 
     def _build_registry(self) -> _FanoutRegistry:
+        """Compile the receiver set into rows, in join order."""
         blocked = self._blocked
-        template: Dict[Any, bool] = {}
-        # Pass 1: count how many active receivers share each stateful
-        # model object — heavily shared models are worth one grouped
-        # draw_batch per packet instead of per-row is_lost dispatches.
-        stateful_counts: Dict[int, int] = {}
-        stateful_models: Dict[int, LossModel] = {}
-        bernoulli_models: Dict[int, LossModel] = {}
-        for receiver_id, (loss, _sink) in self._receivers.items():
-            template[receiver_id] = True
-            if receiver_id in blocked:
-                continue
-            cls = type(loss)
-            if cls is NoLoss or cls is TotalLoss:
-                continue
-            if cls is BernoulliLoss:
-                if 0.0 < loss.rate < 1.0:
-                    bernoulli_models[id(loss)] = loss
-                continue
-            stateful_counts[id(loss)] = stateful_counts.get(id(loss), 0) + 1
-            stateful_models[id(loss)] = loss
-        # Grouping moves a shared model's draws ahead of the in-order
-        # rows, which is invisible to every other stream exactly when no
-        # rng object of the group is drawn by any other model (including
-        # the shared upstream model).  Models failing the check simply
-        # stay on in-order rows — still exact, just not batched.
-        group_for: Dict[int, int] = {}
-        groups: list[tuple[LossModel, int]] = []
-        shared = [
-            model
-            for model_id, model in stateful_models.items()
-            if stateful_counts[model_id] > 1 and isinstance(model, _GROUPABLE)
-        ]
-        if shared:
-            rng_owners: Dict[int, set[int]] = {}
-            for model in [
-                *stateful_models.values(),
-                *bernoulli_models.values(),
-                self.shared_loss,
-            ]:
-                for rng in rng_sources(model):
-                    rng_owners.setdefault(id(rng), set()).add(id(model))
-            for model in shared:
-                if all(
-                    len(rng_owners[id(rng)]) == 1
-                    for rng in rng_sources(model)
-                ):
-                    group_for[id(model)] = len(groups)
-                    groups.append((model, stateful_counts[id(model)]))
-        # Pass 2: constant outcomes fold into pass_template; always-lost
-        # and blocked receivers get no row, everyone else gets one
-        # dispatch row in join order.
         rows: list[tuple] = []
+        template: Dict[Any, bool] = {}
         pass_template: Dict[Any, bool] = {}
-        positions: Dict[int, int] = {}
         for receiver_id, (loss, sink) in self._receivers.items():
+            template[receiver_id] = True
             if receiver_id in blocked:
                 pass_template[receiver_id] = True
                 continue
             cls = type(loss)
-            if cls is NoLoss:
-                pass_template[receiver_id] = False
-                rows.append((_NEVER, None, None, receiver_id, sink))
-                continue
             if cls is TotalLoss:
                 pass_template[receiver_id] = True
                 continue
             pass_template[receiver_id] = False
-            if cls is BernoulliLoss:
+            if cls is NoLoss:
+                rows.append((_NEVER, None, None, receiver_id, sink))
+            elif cls is BernoulliLoss:
                 rate = loss.rate
                 # The degenerate rates consume no randomness (see
                 # BernoulliLoss.is_lost), so they compile to constants.
@@ -769,59 +523,18 @@ class MulticastChannel:
                     )
                 else:
                     pass_template[receiver_id] = True
-                continue
-            group_index = group_for.get(id(loss))
-            if group_index is None:
-                rows.append((_GENERIC, loss, None, receiver_id, sink))
             else:
-                position = positions.get(id(loss), 0)
-                positions[id(loss)] = position + 1
-                rows.append((_GROUPED, group_index, position, receiver_id, sink))
+                rows.append((_GENERIC, loss, None, receiver_id, sink))
         registry = _FanoutRegistry()
+        registry.rows = rows
         registry.template = template
         registry.pass_template = pass_template
-        registry.groups = groups
-        registry.uniform_bernoulli = bool(rows) and all(
-            row[0] == _BERNOULLI for row in rows
-        )
-        if registry.uniform_bernoulli:
-            # The homogeneous loop unpacks 4-tuples straight in its
-            # ``for`` target; the kind column would only be dead weight.
-            rows = [row[1:] for row in rows]
-        registry.rows = rows
         self._registry = registry
         return registry
 
     def _deliver_after(self, packet: Packet, sink: Callable[[Packet], None]):
         yield self.env.timeout(self.delay)
         sink(packet)
-
-    def _enqueue_delayed(
-        self, packet: Packet, sink: Callable[[Packet], None]
-    ) -> None:
-        self._delay_queue.append((self.env._now + self.delay, packet, sink))
-        wakeup = self._delivery_wakeup
-        if wakeup is not None:
-            self._delivery_wakeup = None
-            wakeup.succeed()
-        elif self._delivery_proc is None:
-            self._delivery_proc = self.env.process(self._delivery_loop())
-
-    def _delivery_loop(self):
-        """One persistent process drains all delayed deliveries in order."""
-        queue = self._delay_queue
-        env = self.env
-        while True:
-            if not queue:
-                self._delivery_wakeup = wakeup = env.event()
-                yield wakeup
-                continue
-            due = queue[0][0]
-            if due > env._now:
-                yield env.timeout_at(due)
-                continue
-            entry = queue.popleft()
-            entry[2](entry[1])
 
 
 class DuplexPath:

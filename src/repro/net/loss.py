@@ -31,42 +31,11 @@ def _default_rng() -> random.Random:
     return _DEFAULT_STREAMS[f"model-{next(_DEFAULT_COUNTER)}"]
 
 
-def rng_sources(model: "LossModel") -> Iterable[random.Random]:
-    """Yield the :class:`random.Random` instances ``model`` draws from.
-
-    Used by batched consumers (``CombinedLoss.draw_batch``, the multicast
-    fan-out registry) to decide whether grouping draws by model is exact:
-    reordering draws across models is safe only when no rng object is
-    shared between them.
-    """
-    rng = getattr(model, "_rng", None)
-    if rng is not None:
-        yield rng
-    for component in getattr(model, "models", ()):
-        yield from rng_sources(component)
-
-
 class LossModel:
     """Decides, per transmission, whether a packet is dropped."""
 
     def is_lost(self) -> bool:
         raise NotImplementedError
-
-    def draw_batch(self, n: int) -> list[bool]:
-        """Draw ``n`` consecutive loss outcomes in one call.
-
-        Equivalence contract (pinned by ``tests/net/test_loss_batch.py``):
-        the returned booleans and the model's post-call state — rng
-        sequence, chain state, trace position — are *identical* to ``n``
-        scalar :meth:`is_lost` calls, so scalar and batched consumers of
-        a seeded model can be mixed freely without perturbing results.
-        Subclasses override this with loop-hoisted implementations; the
-        base version is the defining scalar loop.
-        """
-        if n < 0:
-            raise ValueError(f"batch size must be non-negative, got {n}")
-        is_lost = self.is_lost
-        return [is_lost() for _ in range(n)]
 
     @property
     def mean_loss_rate(self) -> float:
@@ -90,11 +59,6 @@ class NoLoss(LossModel):
     def is_lost(self) -> bool:
         return False
 
-    def draw_batch(self, n: int) -> list[bool]:
-        if n < 0:
-            raise ValueError(f"batch size must be non-negative, got {n}")
-        return [False] * n
-
     @property
     def mean_loss_rate(self) -> float:
         return 0.0
@@ -105,11 +69,6 @@ class TotalLoss(LossModel):
 
     def is_lost(self) -> bool:
         return True
-
-    def draw_batch(self, n: int) -> list[bool]:
-        if n < 0:
-            raise ValueError(f"batch size must be non-negative, got {n}")
-        return [True] * n
 
     @property
     def mean_loss_rate(self) -> float:
@@ -132,19 +91,6 @@ class BernoulliLoss(LossModel):
         if self.rate == 1.0:
             return True
         return self._rng.random() < self.rate
-
-    def draw_batch(self, n: int) -> list[bool]:
-        if n < 0:
-            raise ValueError(f"batch size must be non-negative, got {n}")
-        rate = self.rate
-        # The degenerate rates consume no randomness, exactly like the
-        # scalar path.
-        if rate == 0.0:
-            return [False] * n
-        if rate == 1.0:
-            return [True] * n
-        random = self._rng.random
-        return [random() < rate for _ in range(n)]
 
     @property
     def mean_loss_rate(self) -> float:
@@ -237,29 +183,6 @@ class GilbertElliottLoss(LossModel):
         rate = self.bad_loss if self._bad else self.good_loss
         return self._rng.random() < rate
 
-    def draw_batch(self, n: int) -> list[bool]:
-        if n < 0:
-            raise ValueError(f"batch size must be non-negative, got {n}")
-        # Step the chain n times with everything bound to locals; two
-        # rng draws per step, in the same order as the scalar path.
-        random = self._rng.random
-        p_gb = self.p_gb
-        p_bg = self.p_bg
-        bad_loss = self.bad_loss
-        good_loss = self.good_loss
-        bad = self._bad
-        out = []
-        append = out.append
-        for _ in range(n):
-            if bad:
-                if random() < p_bg:
-                    bad = False
-            elif random() < p_gb:
-                bad = True
-            append(random() < (bad_loss if bad else good_loss))
-        self._bad = bad
-        return out
-
     @property
     def mean_loss_rate(self) -> float:
         pi_bad = self.p_gb / (self.p_gb + self.p_bg)
@@ -291,15 +214,6 @@ class DeterministicLoss(LossModel):
         self._count += 1
         return lost
 
-    def draw_batch(self, n: int) -> list[bool]:
-        if n < 0:
-            raise ValueError(f"batch size must be non-negative, got {n}")
-        period = self.period
-        start = self._count + self.offset
-        self._count += n
-        target = period - 1
-        return [(start + i) % period == target for i in range(n)]
-
     @property
     def mean_loss_rate(self) -> float:
         return 1.0 / self.period
@@ -322,24 +236,6 @@ class TraceLoss(LossModel):
         self._pos = (self._pos + 1) % len(self.trace)
         return lost
 
-    def draw_batch(self, n: int) -> list[bool]:
-        if n < 0:
-            raise ValueError(f"batch size must be non-negative, got {n}")
-        trace = self.trace
-        length = len(trace)
-        pos = self._pos
-        self._pos = (pos + n) % length
-        if pos + n <= length:
-            return [bool(value) for value in trace[pos : pos + n]]
-        out: list[bool] = []
-        remaining = n
-        while remaining:
-            take = min(remaining, length - pos)
-            out.extend(bool(value) for value in trace[pos : pos + take])
-            remaining -= take
-            pos = (pos + take) % length
-        return out
-
     @property
     def mean_loss_rate(self) -> float:
         return sum(self.trace) / len(self.trace)
@@ -360,28 +256,6 @@ class CombinedLoss(LossModel):
         # Evaluate all components so stateful models keep advancing.
         results = [model.is_lost() for model in self.models]
         return any(results)
-
-    def draw_batch(self, n: int) -> list[bool]:
-        if n < 0:
-            raise ValueError(f"batch size must be non-negative, got {n}")
-        models = self.models
-        # Column-major (one sub-batch per component) reorders rng draws
-        # relative to the scalar row-major interleave, so it is only exact
-        # when no two components share a rng object.  ``models`` is public
-        # and mutable, so re-check on every call rather than caching.
-        sources: list[random.Random] = []
-        for model in models:
-            sources.extend(rng_sources(model))
-        if len(sources) == len({id(rng) for rng in sources}):
-            columns = [model.draw_batch(n) for model in models]
-            return [any(row) for row in zip(*columns)]
-        # Shared-rng fallback: the defining scalar interleave, packet by
-        # packet, evaluating every component so state keeps advancing.
-        out: list[bool] = []
-        append = out.append
-        for _ in range(n):
-            append(any([model.is_lost() for model in models]))
-        return out
 
     @property
     def mean_loss_rate(self) -> float:

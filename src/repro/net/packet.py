@@ -71,23 +71,11 @@ class Packet:
             raise ValueError(f"size_bits must be positive, got {self.size_bits}")
 
     def copy_for(self, receiver: Any) -> "Packet":
-        """Shallow per-receiver copy used by multicast fan-out."""
-        return Packet(
-            kind=self.kind,
-            key=self.key,
-            payload=self.payload,
-            seq=self.seq,
-            created_at=self.created_at,
-            size_bits=self.size_bits,
-        )
+        """Shallow per-receiver copy used by multicast fan-out.
 
-    def _copy_fast(self) -> "Packet":
-        """Per-receiver copy without dataclass-constructor overhead.
-
-        Behaviourally identical to :meth:`copy_for` — same field values,
-        one uid consumed from the same counter — minus the ``__init__``/
-        ``__post_init__`` churn.  The batched multicast fan-out calls
-        this once per surviving receiver, so it is a hot path.
+        Same field values and one fresh uid, built without the dataclass
+        constructor: the fan-out calls this once per surviving receiver,
+        so it is a hot path.
         """
         clone = object.__new__(Packet)
         clone.kind = self.kind

@@ -1,6 +1,4 @@
-"""Bulk timer scheduling (timeout_many), absolute timers (timeout_at),
-and the step() telemetry credit.
-"""
+"""Bulk timer scheduling (timeout_many) and the step() telemetry credit."""
 
 import pytest
 
@@ -83,55 +81,6 @@ def test_timeout_many_events_are_yieldable():
     env.process(waiter(env, events[1], "second"))
     env.run()
     assert log == [(0.1, "second", "fast"), (0.3, "first", "slow")]
-
-
-def test_timeout_at_fires_at_absolute_time():
-    env = Environment()
-    fired = []
-
-    def proc(env):
-        yield env.timeout(1.25)
-        yield env.timeout_at(4.0, value="late")
-        fired.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert fired == [4.0]
-
-
-def test_timeout_at_now_fires_immediately_and_past_rejected():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(2.0)
-        yield env.timeout_at(2.0)  # due == now is fine
-        fired.append(env.now)
-        with pytest.raises(SimulationError, match="in the past"):
-            env.timeout_at(1.0)
-
-    fired = []
-    env.process(proc(env))
-    env.run()
-    assert fired == [2.0]
-
-
-def test_timeout_at_hits_exact_float_of_stored_due_time():
-    """timeout_at(due) must land on exactly the stored float, with no
-    round-trip through a delay subtraction (the 1-ulp drift that would
-    break delivery-deque byte-identity)."""
-    env = Environment()
-    times = []
-
-    def proc(env):
-        yield env.timeout(0.1)
-        due = env.now + 0.2  # stored at "service" time
-        yield env.timeout(0.05)
-        yield env.timeout_at(due)
-        times.append(env.now == due)
-
-    env.process(proc(env))
-    env.run()
-    assert times == [True]
 
 
 def test_step_credits_kernel_events_to_telemetry():

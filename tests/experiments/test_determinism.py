@@ -5,7 +5,8 @@ Two guarantees are pinned here:
 (a) the parallel experiment runner merges cell results in submission
     order, so ``run_experiment(id, quick=True, seed=0)`` produces
     *identical rows* with ``jobs=1`` and ``jobs=4`` for every registered
-    experiment;
+    experiment, and that render matches its seed-0 golden digest in
+    ``benchsuite/golden.json``;
 
 (b) the kernel's fast path (``__slots__``, inlined scheduling, the
     no-``Initialize`` process start) preserves the event loop's
@@ -16,13 +17,22 @@ Two guarantees are pinned here:
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.des import AllOf, AnyOf, Environment, Interrupt, RngStreams
 from repro.experiments import EXPERIMENTS, run_experiment
 
-# -- (a) parallel rows == sequential rows --------------------------------------
+# -- (a) parallel rows == sequential rows == golden render --------------------
+
+GOLDEN_JSON = Path(__file__).resolve().parents[2] / "benchsuite" / "golden.json"
+
+
+def _golden_render_digest(experiment_id):
+    """The committed SHA-256 of ``experiment_id``'s seed-0 quick render."""
+    with open(GOLDEN_JSON, encoding="utf-8") as handle:
+        return json.load(handle)["experiments"][experiment_id][0]
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
@@ -33,6 +43,10 @@ def test_parallel_rows_match_sequential(experiment_id):
     assert parallel.parameters == sequential.parameters
     assert parallel.notes == sequential.notes
     assert parallel.render() == sequential.render()
+    render = sequential.render().encode("utf-8")
+    assert hashlib.sha256(render).hexdigest() == _golden_render_digest(
+        experiment_id
+    ), f"{experiment_id} render diverged from its golden digest"
 
 
 # -- (b) seeded kernel trace is pinned -----------------------------------------
@@ -123,30 +137,3 @@ def test_seeded_kernel_trace_is_seed_sensitive():
     # Sanity check that the trace actually depends on the seed (i.e. the
     # golden hash is not vacuously stable).
     assert seeded_kernel_trace(seed=0) != seeded_kernel_trace(seed=1)
-
-
-# -- (c) batched fan-out output == scalar fan-out output ------------------------
-
-
-def test_batched_fanout_renders_byte_identical_to_scalar():
-    """The batched multicast fan-out (dense registry + draw_batch + the
-    delivery deque) must not change a single byte of experiment output
-    relative to the scalar reference loop.  ``make bench-kernel`` checks
-    the full quick run-all; this pins the fastest multicast-heavy
-    experiment in the tier-1 suite.  cache=False so both runs compute."""
-    from repro.net import fanout_mode, set_fanout_mode
-
-    before = fanout_mode()
-    try:
-        set_fanout_mode("scalar")
-        scalar = run_experiment(
-            "ext_suppression", quick=True, seed=0, jobs=1, cache=False
-        )
-        set_fanout_mode("batched")
-        batched = run_experiment(
-            "ext_suppression", quick=True, seed=0, jobs=1, cache=False
-        )
-    finally:
-        set_fanout_mode(before)
-    assert batched.rows == scalar.rows
-    assert batched.render() == scalar.render()

@@ -67,6 +67,49 @@ def test_channel_delivers_in_fifo_order():
     assert got == [0, 1, 2, 3, 4]
 
 
+def test_channel_delay_is_added_after_service():
+    env = Environment()
+    channel = Channel(env, rate_kbps=1.0, delay=0.25)  # 1 s of service
+    arrivals = []
+    channel.subscribe(lambda p: arrivals.append(env.now))
+    channel.send(Packet())
+    env.run(until=5.0)
+    assert arrivals == [1.25]
+
+
+def test_channel_delay_keeps_back_to_back_packets_in_fifo_order():
+    # The delay outlasts a service time, so three packets are in flight
+    # at once; each still lands at its own completion + delay, in order.
+    env = Environment()
+    channel = Channel(env, rate_kbps=1.0, delay=2.5)
+    arrivals = []
+    channel.subscribe(lambda p: arrivals.append((env.now, p.seq)))
+    for seq in range(4):
+        channel.send(Packet(seq=seq))
+    env.run(until=10.0)
+    assert arrivals == [(3.5, 0), (4.5, 1), (5.5, 2), (6.5, 3)]
+
+
+def test_channel_delay_traces_delivery_at_arrival():
+    from repro.obs import PACKET, Tracer, tracing
+
+    tracer = Tracer(categories=[PACKET])
+    with tracing(tracer):
+        env = Environment()
+        channel = Channel(env, rate_kbps=1.0, delay=2.5)
+        channel.send(Packet(seq=7))
+        env.run(until=10.0)
+    events = [
+        (record[2], record[0], record[3]["seq"])
+        for record in tracer.records(PACKET)
+    ]
+    assert events == [
+        ("packet_enqueued", 0.0, 7),
+        ("packet_sent", 1.0, 7),
+        ("packet_delivered", 3.5, 7),
+    ]
+
+
 def test_channel_loss_drops_packets():
     env = Environment()
     channel = Channel(env, rate_kbps=10.0, loss=DeterministicLoss(period=2))

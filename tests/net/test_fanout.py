@@ -1,12 +1,16 @@
-"""Batched vs scalar multicast fan-out equivalence, registry churn, and
-the new multicast observability (enqueue tracing, observed loss rates).
+"""Multicast fan-out pinned by frozen digests, registry churn, and the
+multicast observability (enqueue tracing, observed loss rates).
 
-The batched registry path must reproduce the scalar reference loop
-byte-for-byte on the same seeds: same deliveries, same per-receiver
-outcome dicts, same delivery times — across churn, blocking, shared
-(grouped) models, shared-rng fallbacks, and delayed delivery.
+The fan-out scenarios below cover every registry row kind, churn,
+blocking, a model shared by several members, a rng shared between two
+models, and delayed delivery.  Their digests were recorded while the
+registry loop was still checked against the plain per-receiver
+``is_lost()`` reference loop, and both agreed; they now stand in for
+that reference.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -21,25 +25,15 @@ from repro.net import (
     NoLoss,
     Packet,
     TotalLoss,
-    fanout_mode,
-    set_fanout_mode,
 )
 
 
-@pytest.fixture(autouse=True)
-def _restore_fanout_mode():
-    before = fanout_mode()
-    yield
-    set_fanout_mode(before)
-
-
-def _run_group_scenario(mode, *, delay=0.0, churn=False, shared_rng=False):
+def _run_group_scenario(*, delay=0.0, churn=False, shared_rng=False):
     """One multicast session with a mixed receiver population.
 
-    Returns (arrivals, outcomes, delivered_counts) — everything an
-    equivalence check needs to compare the two fan-out implementations.
+    Returns (arrivals, outcomes, delivered_counts): every delivery with
+    its arrival time, every per-packet outcome dict, and the counts.
     """
-    set_fanout_mode(mode)
     env = Environment()
     streams = RngStreams(seed=42)
     mc = MulticastChannel(
@@ -56,9 +50,8 @@ def _run_group_scenario(mode, *, delay=0.0, churn=False, shared_rng=False):
 
     # A population covering every registry row kind: independent
     # Bernoulli draws, constant rows, in-order stateful rows, and one
-    # Gilbert-Elliott model shared by three members (the grouped path —
-    # or, with shared_rng=True, a model whose rng is also drawn by
-    # another model, which must force those rows off the grouped path).
+    # Gilbert-Elliott model shared by three members (with
+    # shared_rng=True its rng is also drawn by another model).
     group_rng = streams["group"]
     ge_shared = GilbertElliottLoss(
         p_gb=0.2, p_bg=0.5, bad_loss=0.9, good_loss=0.05, rng=group_rng
@@ -111,26 +104,36 @@ def _run_group_scenario(mode, *, delay=0.0, churn=False, shared_rng=False):
     return arrivals, outcomes, dict(mc.delivered_per_receiver)
 
 
+def _digest(result):
+    """SHA-256 of the scenario result, dict insertion order included."""
+    return hashlib.sha256(json.dumps(result).encode()).hexdigest()
+
+
+#: (delay, churn) -> digest of ``_run_group_scenario``'s result.
+GOLDEN_SCENARIOS = {
+    (0.0, False): "1a5d18b444520e027672ed50166afe44e4755815640bc9106a06e269c5e91a70",
+    (0.25, False): "6a7cdcb7fcfc4296bf324ddcaeb87859a2a7f6a56bb5196ef66ba7fb511fbbb2",
+    (0.0, True): "4f8073dd6223a9eaa5bda6bbf7506ee75533d836765f4e1319764ea3212cde66",
+    (0.25, True): "ecc8b9991d8e4a7a7e912b2409f6ec79753829ede99a0b32b42e37660828f8c2",
+}
+GOLDEN_SHARED_RNG = (
+    "5dfb46005fb56157b5764d77d0c4acfad3a5002b00055cd6469553caec09dc8b"
+)
+
+
 @pytest.mark.parametrize("delay", [0.0, 0.25])
 @pytest.mark.parametrize("churn", [False, True])
 def test_batched_fanout_matches_scalar(delay, churn):
-    scalar = _run_group_scenario("scalar", delay=delay, churn=churn)
-    batched = _run_group_scenario("batched", delay=delay, churn=churn)
-    assert batched == scalar
+    """The fan-out reproduces the frozen per-receiver reference output."""
+    result = _run_group_scenario(delay=delay, churn=churn)
+    assert _digest(result) == GOLDEN_SCENARIOS[(delay, churn)]
 
 
 def test_shared_rng_spoiler_still_matches_scalar():
-    """A grouped candidate whose rng is drawn by another model must fall
-    back to in-order rows — and still reproduce the scalar results."""
-    scalar = _run_group_scenario("scalar", shared_rng=True)
-    batched = _run_group_scenario("batched", shared_rng=True)
-    assert batched == scalar
-
-
-def test_set_fanout_mode_validates():
-    with pytest.raises(ValueError, match="scalar"):
-        set_fanout_mode("vectorized")
-    assert fanout_mode() in ("scalar", "batched")
+    """Two models drawing one rng interleave their draws in join order,
+    exactly as the frozen reference output does."""
+    result = _run_group_scenario(shared_rng=True)
+    assert _digest(result) == GOLDEN_SHARED_RNG
 
 
 def test_registry_reused_and_invalidated_on_churn():

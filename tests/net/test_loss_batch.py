@@ -1,28 +1,30 @@
-"""Scalar/batch equivalence: the ``draw_batch`` contract.
+"""How one multicast fan-out consumes a loss model shared by a group.
 
-For every loss model, ``draw_batch(n)`` must return exactly the booleans
-``n`` scalar ``is_lost()`` calls would, and leave the model in exactly
-the state those calls would — rng sequence, chain state, trace position
-— so scalar and batched consumers of one seeded model can be mixed
-freely.  These tests pin that with same-seed clone pairs driven through
-random batch sizes, interleaved scalar/batch calls, and mid-sequence
-``reset()``.
+A "batch" here is one packet fanned out to ``n`` members that share a
+single loss model object.  The fan-out draws that model once per member,
+in join order, through ``is_lost()`` — so the outcomes and the model's
+state afterwards (rng sequence, chain state, trace position) must be
+exactly those of ``n`` consecutive ``is_lost()`` calls on a same-seed
+clone.  That is what lets the fan-out and any other consumer of a model
+(a unicast channel, a fault overlay's ``reset()``) be mixed freely.
 """
 
 import random
 
 import pytest
 
+from repro.des import Environment
 from repro.net import (
     BernoulliLoss,
     CombinedLoss,
     DeterministicLoss,
     GilbertElliottLoss,
     LossModel,
+    MulticastChannel,
     NoLoss,
+    Packet,
     TotalLoss,
     TraceLoss,
-    rng_sources,
 )
 
 
@@ -40,8 +42,7 @@ def _combined_disjoint():
 
 
 def _combined_shared_rng():
-    # Both components draw from ONE rng: the column-major batch would
-    # reorder draws, so draw_batch must take the scalar-interleave path.
+    # Both components draw from ONE rng, interleaved packet by packet.
     shared = random.Random(13)
     return CombinedLoss(
         [BernoulliLoss(0.3, rng=shared), BernoulliLoss(0.6, rng=shared)]
@@ -69,17 +70,37 @@ MODEL_FACTORIES = {
 ALL_MODELS = sorted(MODEL_FACTORIES)
 
 
+def fan_out(model, n, blocked=False):
+    """Fan one packet out to ``n`` members sharing ``model``.
+
+    Returns the members' loss outcomes in join order.
+    """
+    env = Environment()
+    mc = MulticastChannel(env, rate_kbps=10.0)
+    for member in range(n):
+        mc.join(member, lambda p: None, loss=model)
+        if blocked:
+            mc.block(member)
+    outcomes = []
+    mc.on_serviced(lambda p, o: outcomes.append(list(o.values())))
+    mc.send(Packet(seq=0))
+    env.run(until=1.0)
+    return outcomes[0]
+
+
+def draws(model, n):
+    return [model.is_lost() for _ in range(n)]
+
+
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_batch_matches_scalar_for_random_sizes(name):
     scalar = MODEL_FACTORIES[name]()
-    batched = MODEL_FACTORIES[name]()
+    shared = MODEL_FACTORIES[name]()
     sizes = random.Random(101).choices(range(0, 23), k=30)
     for n in sizes:
-        expected = [scalar.is_lost() for _ in range(n)]
-        assert batched.draw_batch(n) == expected, f"{name} n={n}"
-    # Post-call state is identical too: more scalar draws agree.
-    tail = [scalar.is_lost() for _ in range(50)]
-    assert [batched.is_lost() for _ in range(50)] == tail
+        assert fan_out(shared, n) == draws(scalar, n), f"{name} n={n}"
+    # Post-fan-out state is identical too: more scalar draws agree.
+    assert draws(shared, 50) == draws(scalar, 50)
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
@@ -89,38 +110,29 @@ def test_interleaved_scalar_and_batch_calls(name):
     plan = random.Random(202).choices(["scalar", "batch"], k=40)
     sizes = random.Random(303).choices(range(1, 9), k=40)
     for op, n in zip(plan, sizes):
-        expected = [scalar.is_lost() for _ in range(n)]
-        if op == "scalar":
-            got = [mixed.is_lost() for _ in range(n)]
-        else:
-            got = mixed.draw_batch(n)
+        expected = draws(scalar, n)
+        got = draws(mixed, n) if op == "scalar" else fan_out(mixed, n)
         assert got == expected, f"{name} {op} n={n}"
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_reset_mid_sequence_restores_batch_equivalence(name):
-    scalar = MODEL_FACTORIES[name]()
-    batched = MODEL_FACTORIES[name]()
-    scalar.draw_batch(17)
-    batched.draw_batch(17)
-    scalar.reset()
-    batched.reset()
-    expected = [scalar.is_lost() for _ in range(40)]
-    assert batched.draw_batch(40) == expected
+    fresh = MODEL_FACTORIES[name]()
+    shared = MODEL_FACTORIES[name]()
+    fan_out(shared, 17)
+    shared.reset()
+    assert fan_out(shared, 40) == draws(fresh, 40)
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_empty_batch_is_a_noop(name):
+    # Blocked members are lost without reaching their last hop: a
+    # fan-out to an all-blocked (or empty) group draws nothing.
     model = MODEL_FACTORIES[name]()
     reference = MODEL_FACTORIES[name]()
-    assert model.draw_batch(0) == []
-    assert model.draw_batch(12) == reference.draw_batch(12)
-
-
-@pytest.mark.parametrize("name", ALL_MODELS)
-def test_negative_batch_size_rejected(name):
-    with pytest.raises(ValueError, match="non-negative"):
-        MODEL_FACTORIES[name]().draw_batch(-1)
+    assert fan_out(model, 0) == []
+    assert fan_out(model, 5, blocked=True) == [True] * 5
+    assert fan_out(model, 12) == draws(reference, 12)
 
 
 def test_degenerate_bernoulli_batches_consume_no_randomness():
@@ -128,14 +140,14 @@ def test_degenerate_bernoulli_batches_consume_no_randomness():
         rng = random.Random(5)
         model = BernoulliLoss(rate, rng=rng)
         before = rng.getstate()
-        model.draw_batch(100)
+        assert fan_out(model, 100) == [rate == 1.0] * 100
         assert rng.getstate() == before
 
 
 def test_trace_batch_wraps_like_scalar_replay():
     pattern = [True, False, True]
     model = TraceLoss(pattern)
-    assert model.draw_batch(8) == [
+    assert fan_out(model, 8) == [
         True, False, True, True, False, True, True, False,
     ]
     # Position advanced mod len(trace): the next draw continues the cycle.
@@ -152,23 +164,7 @@ def test_base_class_batch_uses_scalar_loop():
             return self.count % 3 == 0
 
     model = EveryThird()
-    assert model.draw_batch(7) == [
+    assert fan_out(model, 7) == [
         False, False, True, False, False, True, False,
     ]
     assert model.count == 7
-
-
-def test_rng_sources_finds_nested_rngs():
-    inner = random.Random(1)
-    outer = random.Random(2)
-    combined = CombinedLoss(
-        [
-            BernoulliLoss(0.5, rng=inner),
-            CombinedLoss([GilbertElliottLoss(0.1, 0.2, rng=outer)]),
-            NoLoss(),
-        ]
-    )
-    assert {id(rng) for rng in rng_sources(combined)} == {
-        id(inner), id(outer),
-    }
-    assert list(rng_sources(NoLoss())) == []
