@@ -20,9 +20,10 @@ meter makes that convention explicit and configurable:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+import math
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.record import SoftStateTable
+from repro.core.record import DeadlineHeap, SoftStateTable
 
 _POLICIES = ("zero", "one", "skip")
 
@@ -35,6 +36,15 @@ class ConsistencyMeter:
     observations c(t) is treated as constant, which is exact when every
     state change is followed by an observe() — the protocol simulators
     do exactly that.
+
+    c(t) is kept incrementally.  The meter watches every table
+    (:meth:`SoftStateTable.watch`) and holds, for each publisher key
+    live at its last evaluation, the number of subscribers with a live
+    matching copy.  A sample re-evaluates only the keys reported since
+    the previous sample and the keys whose earliest timer (publisher
+    deadline, or the deadline of a matching mirror) has lapsed, so it
+    costs O(changed keys x subscribers), not O(live set x subscribers).
+    Samples must come in non-decreasing time order.
     """
 
     def __init__(
@@ -60,26 +70,72 @@ class ConsistencyMeter:
         self._total_duration = 0.0
         self._series: List[Tuple[float, float]] = []
         self._record_series = False
+        #: Matched-subscriber count per publisher key live at its last
+        #: evaluation, and their sum.
+        self._matched: Dict[Any, int] = {}
+        self._matched_total = 0
+        #: Keys any watched table reported since the last sample; every
+        #: key already in the publisher starts out unevaluated.
+        self._stale: Set[Any] = {record.key for record in publisher}
+        #: When each key's evaluation lapses without a reported change,
+        #: ordered by push count.
+        self._timers = DeadlineHeap()
+        self._pushes = 0
+        self._clock = -math.inf
+        for table in [publisher, *self.subscribers]:
+            table.watch(self._stale.add)
 
     # -- sampling -----------------------------------------------------------
     def instantaneous(self, now: float) -> Optional[float]:
         """c(t) right now, or None if the live set is empty."""
-        live = self.publisher.live_records(now)
+        if now < self._clock:
+            raise ValueError(f"time went backwards: {now} < {self._clock}")
+        self._clock = now
+        stale = self._stale
+        timers = self._timers
+        for entry in timers.pop_due(now):
+            key = entry[2]
+            del timers.current[key]
+            stale.add(key)
+        if stale:
+            for key in stale:
+                self._evaluate(key, now)
+            stale.clear()
+        live = len(self._matched)
         if not live:
             return None
+        return self._matched_total / (live * len(self.subscribers))
+
+    def _evaluate(self, key: Any, now: float) -> None:
+        """Recount ``key``'s matching subscribers and arm its next timer."""
+        previous = self._matched.pop(key, None)
+        if previous is not None:
+            self._matched_total -= previous
+        record = self.publisher.get(key)
+        if record is None:
+            return
+        lapses = record.created_at + record.lifetime
+        if not now < lapses:
+            return
+        value = record.value
         matched = 0
-        total = 0
         for subscriber in self.subscribers:
-            for record in live:
-                total += 1
-                mirror = subscriber.get(record.key)
-                if (
-                    mirror is not None
-                    and mirror.is_subscriber_live(now)
-                    and mirror.value == record.value
-                ):
-                    matched += 1
-        return matched / total
+            mirror = subscriber.get(key)
+            if mirror is None:
+                continue
+            deadline = mirror.last_refreshed + mirror.hold_time
+            if now < deadline and mirror.value == value:
+                matched += 1
+                if deadline < lapses:
+                    lapses = deadline
+        self._matched[key] = matched
+        self._matched_total += matched
+        if lapses < math.inf:
+            current = self._timers.current.get(key)
+            # An earlier current entry only costs one spare re-evaluation.
+            if current is None or lapses < current[0]:
+                self._timers.push(key, self._pushes, lapses)
+                self._pushes += 1
 
     def observe(self, now: float) -> None:
         """Fold the interval since the last observation into the average."""

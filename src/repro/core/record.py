@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import runtime as _obs
 from repro.obs.trace import RECORD as _RECORD
@@ -59,10 +61,72 @@ class Record:
 
 
 ExpiryCallback = Callable[[Record, float], None]
+ChangeCallback = Callable[[Any], None]
+
+#: ``(deadline lower bound, tie-break order, key)``.
+_Entry = Tuple[float, int, Any]
+_order_of = itemgetter(1)
+
+
+class DeadlineHeap:
+    """A lazy min-heap of ``(deadline, order, key)`` lower bounds.
+
+    Each key has at most one *current* entry, ``current[key]``; a heap
+    entry that is not its key's current one (superseded, or left by an
+    earlier incarnation of the key) is skipped when it surfaces.  The
+    owner keeps every current entry at or before the instant it stands
+    for, so a later instant may be re-armed lazily when the entry pops.
+    Infinite deadlines are never pushed.  ``order`` must be unique per
+    live key so that keys are never compared.
+    """
+
+    __slots__ = ("heap", "current")
+
+    def __init__(self) -> None:
+        self.heap: List[_Entry] = []
+        self.current: Dict[Any, _Entry] = {}
+
+    def push(self, key: Any, order: int, deadline: float) -> None:
+        """Make ``(deadline, order, key)`` the key's current entry."""
+        entry = (deadline, order, key)
+        self.current[key] = entry
+        if deadline < math.inf:
+            heappush(self.heap, entry)
+
+    def pop_due(self, now: float) -> Iterator[_Entry]:
+        """Pop the entries at or before ``now``; yield the current ones.
+
+        A yielded entry stays current: the owner re-pushes the key or
+        drops it from ``current``.
+        """
+        heap = self.heap
+        current = self.current
+        while heap and heap[0][0] <= now:
+            entry = heappop(heap)
+            if current.get(entry[2]) is entry:
+                yield entry
+
+    def clear(self) -> None:
+        self.heap.clear()
+        self.current.clear()
 
 
 class SoftStateTable:
-    """A table of soft-state records with lazy timer-based expiry."""
+    """A table of soft-state records with lazy timer-based expiry.
+
+    Expiry runs off a :class:`DeadlineHeap` keyed by record, ordered by
+    insertion.  The invariant is that a record's current entry never
+    lies after its true deadline:
+
+    * timer extensions (:meth:`refresh`, :meth:`revise`, the stale
+      version branch of :meth:`put`) touch nothing — the old entry is a
+      valid lower bound, and when it pops before the true deadline it
+      is re-pushed at that deadline;
+    * anything that shrinks a deadline pushes a new entry (:meth:`put`
+      does it itself; in-place timer edits call :meth:`bound_expiry`);
+    * infinite deadlines are never pushed, so the heap holds only
+      records that can expire.
+    """
 
     def __init__(self, role: str = "publisher") -> None:
         if role not in ("publisher", "subscriber"):
@@ -73,6 +137,7 @@ class SoftStateTable:
         self.trace_id = _obs.next_trace_label("t")
         self._records: Dict[Any, Record] = {}
         self._on_expire: List[ExpiryCallback] = []
+        self._watchers: List[ChangeCallback] = []
         #: Ambient tracer, cached at construction (guarded attribute —
         #: hooks are no-ops unless tracing was installed via repro.obs).
         self._trace = _obs.current_tracer()
@@ -80,12 +145,17 @@ class SoftStateTable:
         self.updates = 0
         self.deletes = 0
         self.expirations = 0
-        #: Lower bound on the earliest expiry among stored records.  While
-        #: ``now`` is below it, :meth:`expire` is O(1).  Timer refreshes
-        #: only push expiries later, so the bound stays conservative; any
-        #: operation that can pull an expiry earlier must lower it (``put``
-        #: does, and external shrinks go through :meth:`bound_expiry`).
-        self._next_expiry = math.inf
+        self._expiry = DeadlineHeap()
+        self._insertions = 0
+
+    def _deadline(self, record: Record) -> float:
+        if self.role == "publisher":
+            return record.created_at + record.lifetime
+        return record.last_refreshed + record.hold_time
+
+    def _changed(self, key: Any) -> None:
+        for watcher in self._watchers:
+            watcher(key)
 
     # -- mutation ------------------------------------------------------------
     def put(
@@ -119,11 +189,13 @@ class SoftStateTable:
             )
             self._records[key] = record
             self.inserts += 1
-            expiry = (
-                now + lifetime if self.role == "publisher" else now + hold_time
+            self._expiry.push(
+                key,
+                self._insertions,
+                now + lifetime if self.role == "publisher" else now + hold_time,
             )
-            if expiry < self._next_expiry:
-                self._next_expiry = expiry
+            self._insertions += 1
+            self._changed(key)
             tr = self._trace
             if tr is not None and tr.record:
                 tr.emit(
@@ -142,6 +214,7 @@ class SoftStateTable:
             # Stale announcement (reordered ADU): refresh the timer but
             # keep the newer value.
             existing.last_refreshed = now
+            self._changed(key)
             return existing
         else:
             existing.version = version
@@ -158,8 +231,10 @@ class SoftStateTable:
             if self.role == "publisher"
             else now + hold_time
         )
-        if expiry < self._next_expiry:
-            self._next_expiry = expiry
+        entry = self._expiry.current[key]
+        if expiry < entry[0]:
+            self._expiry.push(key, entry[1], expiry)
+        self._changed(key)
         tr = self._trace
         if tr is not None and tr.record:
             tr.emit(
@@ -173,12 +248,27 @@ class SoftStateTable:
             )
         return existing
 
+    def revise(self, key: Any, value: Any, now: float) -> Record:
+        """Give a stored record a new value and the next version in place.
+
+        The publisher-side update of a live record: unlike :meth:`put`
+        it keeps the record's lifetime and creation time and emits no
+        trace row; ``last_refreshed`` moves to ``now``.
+        """
+        record = self._records[key]
+        record.value = value
+        record.version += 1
+        record.last_refreshed = now
+        self._changed(key)
+        return record
+
     def refresh(self, key: Any, now: float) -> bool:
         """Reset a subscriber's expiry timer without changing the value."""
         record = self._records.get(key)
         if record is None:
             return False
         record.last_refreshed = now
+        self._changed(key)
         tr = self._trace
         if tr is not None and tr.record:
             tr.emit(
@@ -195,7 +285,9 @@ class SoftStateTable:
         """Explicitly remove a record (publisher withdraw)."""
         record = self._records.pop(key, None)
         if record is not None:
+            del self._expiry.current[key]
             self.deletes += 1
+            self._changed(key)
             tr = self._trace
             if tr is not None and tr.record:
                 # Deletion is initiated outside the table (no clock in
@@ -213,90 +305,98 @@ class SoftStateTable:
     def expire(self, now: float) -> List[Record]:
         """Drop every record whose timer has lapsed; fire callbacks.
 
-        Fast path: while ``now`` is below the maintained next-expiry
-        bound, nothing can have lapsed and the call is O(1).  Callers
-        invoke this on nearly every simulation event, so skipping the
-        full scan is the difference between O(events) and
-        O(events x records) for a whole run.
+        Fast path: while ``now`` is below the heap's smallest lower
+        bound nothing can have lapsed and the call is O(1).  Callers
+        invoke this on nearly every simulation event; otherwise the
+        cost is O(log n) per popped entry.  Records due together are
+        returned, traced and passed to callbacks in insertion order.
         """
-        if now < self._next_expiry:
+        heap = self._expiry.heap
+        if not heap or now < heap[0][0]:
             return []
+        return self._drop_expired(self._pop_due(now), now)
+
+    def _pop_due(self, now: float) -> List[Record]:
+        """Pop the records whose deadline is at or before ``now``."""
+        expiry = self._expiry
         records = self._records
-        publisher = self.role == "publisher"
-        if publisher:
-            expired = [
-                record
-                for record in records.values()
-                if record.created_at + record.lifetime <= now
-            ]
-        else:
-            expired = [
-                record
-                for record in records.values()
-                if record.last_refreshed + record.hold_time <= now
-            ]
-        # Reset before callbacks run: a callback may put() an
-        # earlier-expiring record, which lowers the bound itself.
-        self._next_expiry = math.inf
+        due: List[_Entry] = []
+        for entry in expiry.pop_due(now):
+            key = entry[2]
+            deadline = self._deadline(records[key])
+            if deadline <= now:
+                due.append(entry)
+            else:
+                # Lazily extended timer: re-arm at the true deadline.
+                expiry.push(key, entry[1], deadline)
+        due.sort(key=_order_of)
+        return [records[entry[2]] for entry in due]
+
+    def _drop_expired(self, expired: List[Record], now: float) -> List[Record]:
+        records = self._records
+        entries = self._expiry.current
         tr = self._trace
         trace_records = tr is not None and tr.record
         for record in expired:
-            del records[record.key]
+            key = record.key
+            del records[key]
+            del entries[key]
             self.expirations += 1
+            self._changed(key)
             if trace_records:
                 # The timer deadline this expiry decision was based on;
                 # a spec checker compares it against ``now`` and against
                 # the refresh history to detect false expiries.
-                deadline = (
-                    record.created_at + record.lifetime
-                    if publisher
-                    else record.last_refreshed + record.hold_time
-                )
                 tr.emit(
                     _RECORD,
                     "record_expired",
                     now,
-                    key=record.key,
+                    key=key,
                     role=self.role,
                     version=record.version,
                     table=self.trace_id,
-                    deadline=deadline,
+                    deadline=self._deadline(record),
                 )
             for callback in self._on_expire:
                 callback(record, now)
-        nxt = math.inf
-        if publisher:
-            for record in records.values():
-                expiry = record.created_at + record.lifetime
-                if expiry < nxt:
-                    nxt = expiry
-        else:
-            for record in records.values():
-                expiry = record.last_refreshed + record.hold_time
-                if expiry < nxt:
-                    nxt = expiry
-        if nxt < self._next_expiry:
-            self._next_expiry = nxt
         return expired
 
-    def bound_expiry(self, expiry: float) -> None:
-        """Tell the table a record's expiry may now be as early as ``expiry``.
+    def bound_expiry(self, key: Any) -> None:
+        """Re-read ``key``'s timer after its fields were edited in place.
 
-        Required after shrinking a record's timer fields directly (rather
-        than through :meth:`put`/:meth:`refresh`), so the lazy-expiry fast
-        path stays conservative.
+        Required after changing a record's timer fields directly (rather
+        than through :meth:`put`/:meth:`refresh`): a shrunk deadline is
+        pushed onto the expiry heap, and watchers hear of the change.
         """
-        if expiry < self._next_expiry:
-            self._next_expiry = expiry
+        record = self._records.get(key)
+        if record is None:
+            return
+        deadline = self._deadline(record)
+        entry = self._expiry.current[key]
+        if deadline < entry[0]:
+            self._expiry.push(key, entry[1], deadline)
+        self._changed(key)
 
     def on_expire(self, callback: ExpiryCallback) -> None:
         """Register ``callback(record, now)`` for timer expirations."""
         self._on_expire.append(callback)
 
+    def watch(self, callback: ChangeCallback) -> None:
+        """Register ``callback(key)`` for every change to a record.
+
+        Fired whenever a record's value or timer changes or the record
+        leaves the table: put, revise, refresh, bound_expiry, delete,
+        expire and clear.
+        """
+        self._watchers.append(callback)
+
     def clear(self) -> None:
         """Drop everything (e.g. a subscriber crash losing its state)."""
+        keys = list(self._records)
         self._records.clear()
-        self._next_expiry = math.inf
+        self._expiry.clear()
+        for key in keys:
+            self._changed(key)
 
     # -- queries ---------------------------------------------------------------
     def get(self, key: Any) -> Optional[Record]:
@@ -327,8 +427,3 @@ class SoftStateTable:
 
     def live_keys(self, now: float) -> List[Any]:
         return [record.key for record in self.live_records(now)]
-
-    def _is_live(self, record: Record, now: float) -> bool:
-        if self.role == "publisher":
-            return record.is_publisher_live(now)
-        return record.is_subscriber_live(now)

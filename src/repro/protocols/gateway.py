@@ -155,9 +155,7 @@ class GatewaySession:
         record = self.publisher.get(key)
         if record is None or not record.is_publisher_live(now):
             return
-        record.value = value
-        record.version += 1
-        record.last_refreshed = now
+        self.publisher.revise(key, value, now)
         self.latency.introduced(key, record.version, now)
         self._observe()
 

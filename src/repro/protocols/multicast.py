@@ -436,12 +436,12 @@ class MulticastFeedbackSession:
     def observe(self, force: bool = False) -> None:
         """Sample the consistency meters.
 
-        Metering cost is O(receivers x live records) per sample, and
-        deliveries arrive N-per-packet, so per-event sampling would be
-        quadratic in the group size.  The meters are therefore sampled
-        at most every ``tick/2`` seconds (plus the forced end-of-run
-        sample); at hundreds of live records the time-average converges
-        the same way with bounded per-sample error.
+        A sample costs O(receivers x keys changed since the last
+        sample).  Deliveries arrive N-per-packet, so the meters are
+        still sampled at most every ``tick/2`` seconds (plus the forced
+        end-of-run sample): that grid defines the sampled time-average
+        every render reports, and at hundreds of live records it
+        converges the same way with bounded per-sample error.
         """
         now = self.env.now
         if self.meter is None:
@@ -482,9 +482,7 @@ class MulticastFeedbackSession:
         record = self.publisher.get(key)
         if record is None or not record.is_publisher_live(now):
             return
-        record.value = value
-        record.version += 1
-        record.last_refreshed = now
+        self.publisher.revise(key, value, now)
         for receiver in self.receivers:
             self.latency.introduced(
                 (receiver.receiver_id, key), record.version, now

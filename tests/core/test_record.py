@@ -136,3 +136,57 @@ def test_iteration_yields_records():
     table.put("a", 1, now=0.0)
     table.put("b", 2, now=0.0)
     assert {record.key for record in table} == {"a", "b"}
+
+
+def test_records_lapsing_together_expire_in_insertion_order():
+    table = SoftStateTable("subscriber")
+    table.put("z", 1, now=0.0, hold_time=5.0)
+    table.put("a", 1, now=0.0, hold_time=5.0)
+    table.put("m", 1, now=1.0, hold_time=3.0)  # earliest deadline, last in
+    assert [r.key for r in table.expire(10.0)] == ["z", "a", "m"]
+
+
+def test_reinserted_key_goes_last_and_its_old_heap_entry_is_ignored():
+    table = SoftStateTable("subscriber")
+    table.put("a", 1, now=0.0, hold_time=2.0)
+    table.put("b", 1, now=0.0, hold_time=4.0)
+    table.delete("a")
+    table.put("a", 2, now=1.0, hold_time=3.0)  # same deadline as b
+    assert table.expire(3.0) == []  # the first incarnation's 2.0 is stale
+    assert [r.key for r in table.expire(4.0)] == ["b", "a"]
+
+
+def test_bound_expiry_honours_an_in_place_hold_time_shrink():
+    table = SoftStateTable("subscriber")
+    record = table.put("k", "v", now=0.0, hold_time=10.0)
+    assert table.expire(1.0) == []
+    record.hold_time = 2.0
+    table.bound_expiry("k")
+    assert [r.key for r in table.expire(2.0)] == ["k"]
+
+
+def test_refresh_only_traffic_keeps_the_heap_at_live_size():
+    table = SoftStateTable("subscriber")
+    for key in range(10):
+        table.put(key, "v", now=0.0, hold_time=1.0)
+    now = 0.0
+    for _ in range(500):
+        now += 0.25
+        for key in range(10):
+            table.refresh(key, now)
+        assert table.expire(now) == []
+        assert len(table._expiry.heap) <= 10
+    assert len(table) == 10
+
+
+def test_infinite_lifetimes_never_enter_the_heap():
+    publisher = SoftStateTable("publisher")
+    subscriber = SoftStateTable("subscriber")
+    publisher.put("k", "v", now=0.0)
+    subscriber.put("k", "v", now=0.0)
+    subscriber.put("k", "w", now=1.0, version=1)
+    subscriber.refresh("k", 2.0)
+    assert publisher._expiry.heap == [] and subscriber._expiry.heap == []
+    publisher.put("k", "v2", now=3.0, lifetime=5.0)
+    assert len(publisher._expiry.heap) == 1
+    assert [r.key for r in publisher.expire(8.0)] == ["k"]

@@ -5,8 +5,6 @@ library: each deliberately breaks one soft-state mechanism the paper
 relies on and asserts the checker pinpoints the violation.
 """
 
-import math
-
 import pytest
 
 from repro.core.record import SoftStateTable
@@ -75,42 +73,10 @@ def early_expiry(monkeypatch):
     def buggy(self, now):
         if self.role != "subscriber":
             return original(self, now)
-        if now + 1.0 < self._next_expiry:
-            return []
-        records = self._records
-        expired = [
-            record
-            for record in records.values()
-            if record.last_refreshed + record.hold_time <= now + 1.0
-        ]
-        self._next_expiry = math.inf
-        tr = self._trace
-        for record in expired:
-            del records[record.key]
-            self.expirations += 1
-            if tr is not None and tr.record:
-                # The bug under test reports the *true* deadline while
-                # acting a second early — exactly an off-by-one.
-                tr.emit(
-                    RECORD,
-                    "record_expired",
-                    now,
-                    key=record.key,
-                    role=self.role,
-                    version=record.version,
-                    table=self.trace_id,
-                    deadline=record.last_refreshed + record.hold_time,
-                )
-            for callback in self._on_expire:
-                callback(record, now)
-        nxt = math.inf
-        for record in records.values():
-            expiry = record.last_refreshed + record.hold_time
-            if expiry < nxt:
-                nxt = expiry
-        if nxt < self._next_expiry:
-            self._next_expiry = nxt
-        return expired
+        # Pops every record due within the next second but stamps the
+        # rows with the real clock: each row still carries the record's
+        # *true* deadline while acting a second early — an off-by-one.
+        return self._drop_expired(self._pop_due(now + 1.0), now)
 
     monkeypatch.setattr(SoftStateTable, "expire", buggy)
 
