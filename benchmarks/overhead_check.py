@@ -15,7 +15,7 @@ micro-benchmark, under three configurations:
   no-op path yet still emits nothing and the untraced run loop is
   still selected;
 * **enabled** — a sampling :class:`~repro.obs.profile.Profiler`
-  installed (``_run_profiled`` loop, default 1-in-16 sampling), the
+  installed (``_run_instrumented`` loop, default 1-in-16 sampling), the
   configuration a ``REPRO_PROFILE=1`` run pays.
 
 Best-of-N minimum wall times are compared; ``--assert-pct P`` exits

@@ -248,11 +248,13 @@ def _trace(args: argparse.Namespace) -> int:
     if summary:
         print(f"by category: {summary}")
     if args.format == "perfetto":
+        from repro.obs.fold import replay_file
         from repro.obs.perfetto import report_to_trace_events
-        from repro.obs.spans import build_from_file
+        from repro.obs.spans import SpanBuilder
 
         perfetto_out = os.path.splitext(out)[0] + ".perfetto.json"
-        document = report_to_trace_events(build_from_file(out))
+        (spans,) = replay_file(out, SpanBuilder())
+        document = report_to_trace_events(spans)
         with open(perfetto_out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=1)
             handle.write("\n")
@@ -311,7 +313,8 @@ def _stats(args: argparse.Namespace) -> int:
 
 
 def _spans(args: argparse.Namespace) -> int:
-    from repro.obs.spans import build_from_file
+    from repro.obs.fold import replay_file
+    from repro.obs.spans import SpanBuilder
 
     path = args.trace or os.path.join(
         "results", args.experiment, "trace.jsonl"
@@ -326,7 +329,7 @@ def _spans(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    report = build_from_file(path)
+    (report,) = replay_file(path, SpanBuilder())
     print(report.describe(limit=args.limit))
     if args.json:
         os.makedirs(os.path.dirname(args.json) or ".", exist_ok=True)
@@ -363,7 +366,8 @@ def _report(args: argparse.Namespace) -> int:
 
 
 def _check(args: argparse.Namespace) -> int:
-    from repro.spec.checker import check_file
+    from repro.obs.fold import replay_file
+    from repro.spec.checker import ShadowChecker
 
     path = args.trace
     if args.experiment:
@@ -393,7 +397,7 @@ def _check(args: argparse.Namespace) -> int:
     elif not path:
         print("give a trace path or --experiment ID", file=sys.stderr)
         return 2
-    report = check_file(path)
+    (report,) = replay_file(path, ShadowChecker())
     print(report.describe())
     return 0 if report.ok else 1
 

@@ -650,22 +650,18 @@ class Environment:
                 )
 
         try:
-            if self._profile is not None:
-                # Profiling on: a dedicated loop that samples callback
-                # wall time.  Scheduling order and timestamps are
-                # identical to every other loop — only clock reads and
-                # (if kernel tracing is also on) emits differ.
-                return self._run_profiled(
+            if self._profile is not None or self._trace_kernel:
+                # Profiling or kernel tracing on: the instrumented loop
+                # samples callback wall time and/or emits one record per
+                # popped event.  Scheduling order and timestamps are
+                # identical to the fast loops — only clock reads and
+                # emits differ.
+                return self._run_instrumented(
                     self._profile,
                     self._trace if self._trace_kernel else None,
                     stop_event,
                     stop_time,
                 )
-            if self._trace_kernel:
-                # Tracing on: the dedicated loop below emits one record
-                # per popped event.  Scheduling order and timestamps are
-                # identical to the fast loops — only the emits differ.
-                return self._run_traced(self._trace, stop_event, stop_time)
 
             # The inlined body of step() below is the hottest loop in the
             # repository; `queue` and `pop` are bound to locals on purpose.
@@ -704,59 +700,36 @@ class Environment:
         finally:
             self._note_events()
 
-    def _run_traced(
-        self, tr, stop_event: Optional[Event], stop_time: float
-    ) -> Any:
-        """The general event loop plus a per-event trace emit.
-
-        Pop order, clock updates, and stop handling mirror :meth:`run`'s
-        untraced loops exactly, so a traced run's simulation results are
-        byte-identical to an untraced run of the same seed.
-        """
-        queue = self._queue
-        pop = _heappop
-        emit_fired = self._emit_fired
-        while queue:
-            if stop_event is not None and stop_event.callbacks is None:
-                break
-            if queue[0][0] > stop_time:
-                self._now = stop_time
-                return None
-            when, _, _, event = pop(queue)
-            self._now = when
-            emit_fired(tr, when, event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-        return self._finish(stop_event, stop_time)
-
-    def _run_profiled(
+    def _run_instrumented(
         self,
         prof,
         tr,
         stop_event: Optional[Event],
         stop_time: float,
     ) -> Any:
-        """The general event loop plus sampled wall-time attribution.
+        """The general event loop plus sampled profiling and tracing.
 
-        Every ``prof.sample_every``-th event's callback batch is timed
-        and credited to the resumed process's generator name (or the
-        event type for bare callbacks).  The countdown is a plain
-        counter — no RNG, and no clock reads outside the sampled
-        window — so pop order, sim clock updates, and stop handling
-        stay byte-identical to the other loops.  ``tr`` is the tracer
-        when kernel tracing is also enabled, else None.
+        ``prof`` is the profiler, or None: then the sampling countdown
+        never reaches zero.  Every ``prof.sample_every``-th event's
+        callback batch is timed and credited to the resumed process's
+        generator name (or the event type for bare callbacks).  The
+        countdown is a plain counter — no RNG, and no clock reads
+        outside the sampled window.  ``tr`` is the tracer when kernel
+        tracing is enabled, else None: each popped event is emitted
+        before its callbacks run.  Pop order, sim clock updates, and
+        stop handling stay byte-identical to the other loops.
         """
         queue = self._queue
         pop = _heappop
         emit_fired = self._emit_fired
         perf = _perf_counter
-        account = prof.account
-        sample = prof.sample_every
-        countdown = prof._countdown
+        if prof is None:
+            account = None
+            sample = countdown = _INF
+        else:
+            account = prof.account
+            sample = prof.sample_every
+            countdown = prof._countdown
         try:
             while queue:
                 if stop_event is not None and stop_event.callbacks is None:
@@ -797,7 +770,8 @@ class Environment:
         finally:
             # Persist the countdown so sampling continues seamlessly
             # across the many short run() calls one cell makes.
-            prof._countdown = countdown
+            if prof is not None:
+                prof._countdown = countdown
 
     def _finish(self, stop_event: Optional[Event], stop_time: float) -> Any:
         """Common run() epilogue once the loop exits."""

@@ -589,7 +589,7 @@ class UnguardedTraceEmitRule(Rule):
     ``trace_*`` local) — one load and one jump when tracing is off.  An
     unguarded ``*.emit(...)`` pays argument construction on every event.
     A tracer received as a function parameter counts as guarded: the
-    caller hoisted the check (e.g. ``Environment._run_traced``).
+    caller hoisted the check (e.g. ``Environment._run_instrumented``).
     """
 
     code = "RPR005"
@@ -776,15 +776,15 @@ class FloatTimestampEqualityRule(Rule):
 class UnguardedSpanHookRule(Rule):
     """RPR009: span/profiler hook calls in hot paths without a guard.
 
-    The span layer (``SpanBuilder.feed``/``feed_raw``) and the wall-time
-    profiler (``Profiler.account``/``account_category``) ride the same
-    hot paths as the tracer, and the CI overhead gate budgets them the
-    same way: every call in kernel or channel code must be dominated by
+    Per-record trace-fold hooks (``Invariant.feed``, ``feed_raw``) and
+    the wall-time profiler (``Profiler.account``/``account_category``)
+    ride the same hot paths as the tracer, and the CI overhead gate
+    budgets them the same way: every call in kernel or channel code must be dominated by
     a precomputed flag check (``if self._profile is not None:``, a
     hoisted ``span``/``prof`` local test) so a run without observers
     pays one load and one jump.  As with RPR005, a builder/profiler
     received as a function parameter counts as guarded — the caller
-    hoisted the check (``Environment._run_profiled``).
+    hoisted the check (``Environment._run_instrumented``).
     """
 
     code = "RPR009"

@@ -25,6 +25,7 @@ See ``docs/OBSERVABILITY.md`` for the event taxonomy, instrument
 naming conventions, and how to add a new trace hook.
 """
 
+from repro.obs.fold import FoldSink, replay, replay_file
 from repro.obs.metrics import Counter, Gauge, Histogram, Registry
 from repro.obs.profile import Profiler, ProfilingSink, profile_enabled
 from repro.obs.runtime import (
@@ -39,6 +40,7 @@ from repro.obs.runtime import (
     uninstall_profiler,
     uninstall_tracer,
 )
+from repro.obs.spans import Span, SpanBuilder, SpanReport, SpanSink
 from repro.obs.telemetry import (
     CellMeta,
     RunTelemetry,
@@ -60,24 +62,12 @@ from repro.obs.trace import (
     record_as_dict,
 )
 
-# Imported last: spans pulls in repro.spec (event iteration), whose
-# checker imports back into repro.obs — by this point the submodules it
-# needs (runtime, trace) are already bound on the package.
-from repro.obs.spans import (  # noqa: E402
-    Span,
-    SpanBuilder,
-    SpanReport,
-    SpanSink,
-    build_from_events,
-    build_from_file,
-    build_from_records,
-)
-
 __all__ = [
     "CATEGORIES",
     "CellMeta",
     "Counter",
     "FAULT",
+    "FoldSink",
     "Gauge",
     "Histogram",
     "JsonlSink",
@@ -97,9 +87,6 @@ __all__ = [
     "SpanSink",
     "Tracer",
     "WARNING",
-    "build_from_events",
-    "build_from_file",
-    "build_from_records",
     "cell_context",
     "current_profiler",
     "current_tracer",
@@ -110,6 +97,8 @@ __all__ = [
     "profiling",
     "record_as_dict",
     "registry",
+    "replay",
+    "replay_file",
     "tracing",
     "uninstall_profiler",
     "uninstall_tracer",

@@ -4,7 +4,7 @@
 answers *where the wall clock went*.  Two attribution axes:
 
 * **per DES process** — :class:`Profiler` rides the kernel's event
-  loop (``Environment._run_profiled``) and attributes callback wall
+  loop (``Environment._run_instrumented``) and attributes callback wall
   time to the generator name of the process an event resumed (or the
   event type, for bare callbacks);
 * **per trace category** — :class:`ProfilingSink` wraps any sink and
@@ -143,10 +143,13 @@ class Profiler:
 class ProfilingSink:
     """Sink wrapper that times every ``write`` under its trace category.
 
-    Composable with ``JsonlSink``/``RingBufferSink`` and the other
-    wrappers (``CheckingSink``, ``SpanSink``): whatever ``inner`` does
-    — serialise, check, fold spans — is attributed to the record's
-    category in the profiler's ``categories`` table.
+    Composable with ``JsonlSink``/``RingBufferSink`` and the fold
+    driver (:class:`~repro.obs.fold.FoldSink`, whose single-fold forms
+    are ``CheckingSink`` and ``SpanSink``): whatever ``inner`` does —
+    serialise, check, fold spans — is attributed to the record's
+    category in the profiler's ``categories`` table.  Wrap the driver
+    to time the folds; put it inside the driver to time only the
+    persistence below it.
     """
 
     def __init__(self, inner, profiler: Profiler) -> None:

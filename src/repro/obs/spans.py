@@ -40,27 +40,24 @@ Lossy input is first-class: events whose opening event was evicted
 from a ring buffer (or cut off by a torn JSONL tail) produce spans
 flagged ``truncated=True`` — reported, never silently dropped.
 
-Use :class:`SpanBuilder` post-hoc (``repro spans <exp>``, or
-:func:`build_from_file` / :func:`build_from_records`), or wrap a sink
-with :class:`SpanSink` to fold spans live during a run, exactly like
-the spec checker's ``CheckingSink``.  ``finalize()`` publishes the
-derived metrics ``repro_record_staleness_seconds`` and
-``repro_repair_chain_depth`` into the ambient registry.
+:class:`SpanBuilder` is a fold (:mod:`repro.obs.fold`): one driver
+feeds it from a live sink (:class:`SpanSink`, or a
+:class:`~repro.obs.fold.FoldSink` carrying the spec checker as well),
+from in-memory records (:func:`~repro.obs.fold.replay`) or from a JSONL
+file (:func:`~repro.obs.fold.replay_file`, as ``repro spans <exp>``
+does).  Its ``finish`` publishes the derived metrics
+``repro_record_staleness_seconds`` and ``repro_repair_chain_depth``
+into the ambient registry.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import runtime as _obs
-from repro.spec.events import (
-    TraceEvent,
-    TruncatedTrace,
-    iter_jsonl_events,
-    iter_record_events,
-)
+from repro.obs.fold import FoldSink, Stream
 
 #: Span kinds, in display order.
 SPAN_KINDS = ("record", "packet", "repair", "fault", "shard")
@@ -255,15 +252,11 @@ class SpanReport:
 class SpanBuilder:
     """Fold a ``(t, cat, ev, fields)`` stream into lifecycle spans.
 
-    Feed events with :meth:`feed_raw` (hot path, mirrors the spec
-    checker's ``feed_raw``) or :meth:`feed`; call :meth:`finalize`
-    once at the end.  Multi-cell streams are partitioned on the
-    runner's ``run/cell_start`` marker, exactly like the checker: each
-    cell restarts the clock, so open spans close at the boundary.
+    Each cell restarts the clock, so open spans close at a cell
+    boundary (:meth:`on_cell`).
     """
 
-    def __init__(self, truncated_input: bool = False) -> None:
-        self.truncated_input = truncated_input
+    def __init__(self) -> None:
         self._spans: List[Span] = []
         self._counts: Dict[str, int] = {}
         self._instants: List[Tuple[int, float, str, Dict[str, Any]]] = []
@@ -283,45 +276,43 @@ class SpanBuilder:
         # key, and the most recent packet span seen carrying a key.
         self._publisher_record: Dict[Any, Span] = {}
         self._last_packet_by_key: Dict[Any, int] = {}
-        self._dispatch = {
-            "cell_start": self._on_cell_start,
-            "record_inserted": self._on_record_inserted,
-            "record_updated": self._on_record_touched,
-            "record_refreshed": self._on_record_touched,
-            "refresh_received": self._on_refresh_received,
-            "record_deleted": self._on_record_closed,
-            "record_expired": self._on_record_closed,
-            "packet_enqueued": self._on_packet_enqueued,
-            "packet_sent": self._on_packet_sent,
-            "packet_delivered": self._on_packet_delivered,
-            "packet_lost": self._on_packet_lost,
-            "repair_requested": self._on_repair_requested,
-            "repair_sent": self._on_repair_sent,
-            "fault_window": self._on_fault_window,
-            "shard_start": self._on_shard_start,
-            "shard_end": self._on_shard_end,
-            "shard_merge": self._on_instant,
-            "summary_digest": self._on_instant,
-            "summary_checked": self._on_instant,
-            "fault_armed": self._on_instant,
-            "consistency_sample": self._on_instant,
+        self.handlers = {
+            ev: self._counted(handler)
+            for ev, handler in {
+                "record_inserted": self._on_record_inserted,
+                "record_updated": self._on_record_touched,
+                "record_refreshed": self._on_record_touched,
+                "refresh_received": self._on_refresh_received,
+                "record_deleted": self._on_record_closed,
+                "record_expired": self._on_record_closed,
+                "packet_enqueued": self._on_packet_enqueued,
+                "packet_sent": self._on_packet_sent,
+                "packet_delivered": self._on_packet_delivered,
+                "packet_lost": self._on_packet_lost,
+                "repair_requested": self._on_repair_requested,
+                "repair_sent": self._on_repair_sent,
+                "fault_window": self._on_fault_window,
+                "shard_start": self._on_shard_start,
+                "shard_end": self._on_shard_end,
+                "shard_merge": self._on_instant,
+                "summary_digest": self._on_instant,
+                "summary_checked": self._on_instant,
+                "fault_armed": self._on_instant,
+                "consistency_sample": self._on_instant,
+            }.items()
         }
 
-    # -- feeding -----------------------------------------------------------
+    def _counted(self, handler):
+        """Wrap a handler with the per-event count and clock upkeep."""
+        counts = self._counts
 
-    def feed_raw(
-        self, t: Optional[float], cat: str, ev: str, fields: Dict[str, Any]
-    ) -> None:
-        handler = self._dispatch.get(ev)
-        if handler is None:
-            return
-        if t is not None and t > self._last_t:
-            self._last_t = t
-        self._counts[ev] = self._counts.get(ev, 0) + 1
-        handler(t, ev, fields)
+        def step(index, t, cat, ev, fields) -> None:
+            if t is not None and t > self._last_t:
+                self._last_t = t
+            counts[ev] = counts.get(ev, 0) + 1
+            handler(t, ev, fields)
 
-    def feed(self, event: TraceEvent) -> None:
-        self.feed_raw(event.t, event.cat, event.ev, event.fields)
+        return step
 
     # -- span bookkeeping --------------------------------------------------
 
@@ -376,7 +367,8 @@ class SpanBuilder:
 
     # -- handlers ----------------------------------------------------------
 
-    def _on_cell_start(self, t, ev, fields) -> None:
+    def on_cell(self, fields) -> None:
+        self._counts["cell_start"] = self._counts.get("cell_start", 0) + 1
         self._close_open_spans()
         self._cell = fields.get("index", self._cell + 1)
         self._last_t = 0.0
@@ -619,11 +611,9 @@ class SpanBuilder:
 
     # -- finalisation ------------------------------------------------------
 
-    def finalize(self, truncated: bool = False) -> SpanReport:
+    def finish(self, stream: Stream) -> SpanReport:
         """Close open spans, publish derived metrics, return the report."""
         self._close_open_spans()
-        if truncated:
-            self.truncated_input = True
         registry = _obs.registry()
         staleness = registry.histogram(
             "repro_record_staleness_seconds",
@@ -651,74 +641,16 @@ class SpanBuilder:
             ):
                 depth.observe(float(span.fields.get("requests", 0)))
         return SpanReport(
-            self._spans,
-            self._counts,
-            self._instants,
-            self.truncated_input,
+            self._spans, self._counts, self._instants, stream.truncated
         )
 
 
-class SpanSink:
-    """Sink wrapper that folds spans live while forwarding records.
+def SpanSink(inner: Any) -> FoldSink:
+    """A fold driver carrying one :class:`SpanBuilder`.
 
-    Mirror of the spec checker's ``CheckingSink``: wrap any sink, pass
-    the wrapper to ``Tracer``, and every record is both persisted and
-    fed to the builder.  Call :meth:`finalize` after the run.
+    Wrap any sink, pass the wrapper to ``Tracer``, and every record is
+    both persisted and folded; ``finalize()`` returns the report.  A
+    function, not a subclass, for the reason given at
+    :func:`repro.spec.checker.CheckingSink`.
     """
-
-    def __init__(
-        self, inner, builder: Optional[SpanBuilder] = None
-    ) -> None:
-        self.inner = inner
-        self.builder = builder if builder is not None else SpanBuilder()
-        self._inner_write = inner.write
-        self._feed = self.builder.feed_raw
-
-    def write(self, record) -> None:
-        self._inner_write(record)
-        t, cat, ev, fields = record
-        self._feed(t, cat, ev, fields)
-
-    def flush(self) -> None:
-        self.inner.flush()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def finalize(self) -> SpanReport:
-        return self.builder.finalize()
-
-
-def build_from_events(
-    events: Iterable[TraceEvent], truncated: bool = False
-) -> SpanReport:
-    builder = SpanBuilder()
-    for event in events:
-        builder.feed(event)
-    return builder.finalize(truncated=truncated)
-
-
-def build_from_records(records, dropped: int = 0) -> SpanReport:
-    """Build spans from in-memory ``(t, cat, ev, fields)`` tuples.
-
-    ``dropped`` is the ring-buffer eviction count
-    (``RingBufferSink.dropped``); a non-zero value marks the report's
-    input as truncated, and spans whose opening event was evicted come
-    back flagged ``truncated=True`` rather than vanishing.
-    """
-    return build_from_events(
-        iter_record_events(records), truncated=dropped > 0
-    )
-
-
-def build_from_file(path: str) -> SpanReport:
-    """Build spans from a trace JSONL file, tolerating a torn tail."""
-    builder = SpanBuilder()
-    truncated = False
-    with open(path, encoding="utf-8") as handle:
-        try:
-            for event in iter_jsonl_events(handle):
-                builder.feed(event)
-        except TruncatedTrace:
-            truncated = True
-    return builder.finalize(truncated=truncated)
+    return FoldSink(inner, SpanBuilder())

@@ -13,9 +13,10 @@ compositional-testing approach (Rousseaux et al., PAPERS.md):
   in-memory records);
 * :mod:`repro.spec.invariants` — the invariant library: small state
   machines consuming ``(t, cat, ev, fields)`` streams;
-* :mod:`repro.spec.checker` — the shadow checker: replays any
-  ``docs/trace.schema.json``-conformant stream (file or live sink) and
-  produces a per-run verdict with the first violating event pinpointed;
+* :mod:`repro.spec.checker` — the shadow checker: a fold
+  (:mod:`repro.obs.fold`) over any ``docs/trace.schema.json``-conformant
+  stream (file, records or live sink) that produces a per-run verdict
+  with the first violating event pinpointed;
 * :mod:`repro.spec.chaos` — the hypothesis-driven chaos harness:
   seeded random fault schedules + topology/loss/timeout parameters run
   through the cached parallel runner with tracing on, shrinking to a
@@ -26,14 +27,8 @@ CLI surface: ``repro check <trace.jsonl>`` / ``repro check
 ``docs/SPEC.md`` for the invariant catalog.
 """
 
-from repro.spec.checker import (
-    CheckingSink,
-    CheckReport,
-    ShadowChecker,
-    check_file,
-    check_records,
-)
-from repro.spec.events import TraceEvent, iter_jsonl_events, iter_record_events
+from repro.spec.checker import CheckingSink, CheckReport, ShadowChecker
+from repro.spec.events import TraceEvent, iter_jsonl_events
 from repro.spec.invariants import (
     DEFAULT_INVARIANTS,
     BoundedReconsistency,
@@ -60,8 +55,5 @@ __all__ = [
     "ShadowChecker",
     "TraceEvent",
     "Violation",
-    "check_file",
-    "check_records",
     "iter_jsonl_events",
-    "iter_record_events",
 ]

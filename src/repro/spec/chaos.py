@@ -43,8 +43,8 @@ from repro.faults.schedule import (
     SenderCrash,
 )
 from repro.obs import runtime as _obs
-from repro.obs.trace import FAULT, PACKET, RECORD, RUN, RingBufferSink, Tracer
-from repro.spec.checker import check_records
+from repro.obs.trace import FAULT, PACKET, RECORD, RUN, Tracer
+from repro.spec.checker import CheckingSink
 
 try:  # optional: the harness degrades to "unavailable", not ImportError
     from hypothesis import HealthCheck, Phase, given
@@ -285,10 +285,9 @@ def _chaos_cell(
     )
     from repro.sstp import SstpSession
 
-    tracer = Tracer(
-        RingBufferSink(capacity=None),
-        categories=(PACKET, RECORD, FAULT, RUN),
-    )
+    # Checked live: no record buffer, no second pass.
+    checking = CheckingSink(None)
+    tracer = Tracer(checking, categories=(PACKET, RECORD, FAULT, RUN))
     # Sessions cache the ambient tracer at construction, so the whole
     # lifecycle — construction included — happens inside the context.
     with _obs.tracing(tracer):
@@ -320,7 +319,7 @@ def _chaos_cell(
             else:
                 raise ValueError(f"unknown session kind {session!r}")
         sim.run(horizon)
-    report = check_records(tracer.sink.records())
+    report = checking.finalize()
     return {
         "ok": report.ok,
         "events": report.events_checked,

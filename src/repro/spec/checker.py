@@ -1,20 +1,14 @@
-"""The shadow checker: replay a trace, render a verdict.
+"""The shadow checker: the invariant library as a trace fold.
 
-:class:`ShadowChecker` consumes :class:`~repro.spec.events.TraceEvent`
-streams and drives the invariant library over them.  Multi-cell traces
-(one JSONL file from a full experiment run) are partitioned on the
-runner's ``cell_start``/``cell_end`` markers: every invariant is
-re-instantiated per cell, because each cell restarts the simulation
-clock at zero and reuses session labels.
+:class:`ShadowChecker` is a fold (:mod:`repro.obs.fold`): the fold
+driver reads the trace, partitions it into cells and routes each record
+to the invariants that asked for its event.  One driver serves every
+input — a live sink (:class:`CheckingSink`, or a
+:class:`~repro.obs.fold.FoldSink` carrying the span builder as well),
+in-memory records (:func:`~repro.obs.fold.replay`) and a JSONL file
+with a torn tail (:func:`~repro.obs.fold.replay_file`)::
 
-Entry points, in increasing liveness:
-
-* :func:`check_file` — replay a ``docs/trace.schema.json``-conformant
-  JSONL file (tolerates a torn final row from a killed run);
-* :func:`check_records` — replay in-memory ``(t, cat, ev, fields)``
-  tuples, e.g. from a :class:`~repro.obs.trace.RingBufferSink`;
-* :class:`CheckingSink` — wrap any sink so a live run is checked as it
-  emits, with no second pass over the trace.
+    (report,) = replay_file("trace.jsonl", ShadowChecker())
 
 Every violation increments the ``repro_spec_violations_total`` metric
 (labelled by invariant) in the ambient registry, and
@@ -24,19 +18,13 @@ under the ``spec`` category.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import runtime as _obs
+from repro.obs.fold import ALL_EVENTS, FoldSink, Stream, fan
 from repro.obs.trace import SPEC as _SPEC
-from repro.obs.trace import TraceRecord, Tracer
-from repro.spec.events import (
-    TraceEvent,
-    TruncatedTrace,
-    iter_jsonl_events,
-    iter_record_events,
-)
+from repro.obs.trace import Tracer
 from repro.spec.invariants import (
-    ALL_EVENTS,
     DEFAULT_INVARIANTS,
     Invariant,
     MonotoneClock,
@@ -47,20 +35,10 @@ __all__ = [
     "CheckReport",
     "CheckingSink",
     "ShadowChecker",
-    "check_file",
-    "check_records",
 ]
 
 #: Factory signature: anything that builds a fresh :class:`Invariant`.
 InvariantFactory = Callable[[], Invariant]
-
-
-def _fan(feeds: List[Callable[..., None]]) -> Callable[..., None]:
-    """One dispatch target fanning out to several invariant feeds."""
-    def fanned(index, t, cat, ev, fields):
-        for feed in feeds:
-            feed(index, t, cat, ev, fields)
-    return fanned
 
 
 class CheckReport:
@@ -167,7 +145,11 @@ class CheckReport:
 
 
 class ShadowChecker:
-    """Drives a set of invariants over a trace-event stream."""
+    """The invariant set as a fold (:mod:`repro.obs.fold`).
+
+    Every invariant is re-instantiated per cell, because each cell
+    restarts the simulation clock at zero and reuses session labels.
+    """
 
     def __init__(
         self, invariants: Optional[Sequence[InvariantFactory]] = None
@@ -175,110 +157,44 @@ class ShadowChecker:
         self._factories: Tuple[InvariantFactory, ...] = tuple(
             invariants if invariants is not None else DEFAULT_INVARIANTS
         )
-        self._events = 0
-        self._cells = 0
         self._cell: Optional[int] = None
-        self._closed = False
+        self._report: Optional[CheckReport] = None
         self._violations: List[Violation] = []
-        self._names: List[str] = []
         self._instantiate()
         self._names = [inv.name for inv in self._active]
 
     def _instantiate(self) -> None:
-        """Fresh invariant instances (new cell or start of stream).
+        """Fresh invariant instances, routed by event name.
 
-        The dispatch tables hold *bound feed methods* in a two-level
-        ``cat -> ev -> [feed]`` map: the per-event path then costs two
-        string-keyed dict lookups and direct calls, with no tuple
-        allocation and no attribute traversal — this is what keeps the
-        live :class:`CheckingSink` inside its overhead budget.
+        The first :class:`MonotoneClock` is not routed at all: the
+        driver's inline clock check calls :attr:`on_backwards` instead,
+        so checking every record costs no per-record call.
         """
         self._active: List[Invariant] = [
             factory() for factory in self._factories
         ]
-        self._wildcard: List[Callable[..., None]] = []
-        self._routes: Dict[str, Dict[str, List[Callable[..., None]]]] = {}
-        self._clock: Optional[MonotoneClock] = None
+        routes: Dict[str, List[Callable[..., None]]] = {}
+        self.on_backwards: Optional[Callable[..., None]] = None
         for invariant in self._active:
             if invariant.interests == ALL_EVENTS:
-                if type(invariant) is MonotoneClock and self._clock is None:
-                    # The clock check is the one wildcard in the default
-                    # set; it is inlined into feed_raw rather than paying
-                    # a per-event call (checking every record must stay
-                    # within the live-sink overhead budget).
-                    self._clock = invariant
-                else:
-                    self._wildcard.append(invariant.feed)
-                continue
-            for cat, ev in invariant.interests:
-                self._routes.setdefault(cat, {}).setdefault(ev, []).append(
-                    invariant.feed
-                )
-        self._last_t: Optional[float] = None
-        # Flat ev-name dispatch for the live sink: one dict lookup to a
-        # bound feed (the trace vocabulary keys every event name to one
-        # category).  Disabled — set to None — when a generic wildcard
-        # invariant is active or an event name is ambiguous, in which
-        # case the sink falls back to feed_raw for every record.
-        dispatch: Dict[str, Callable[..., None]] = {
-            "cell_start": self._on_cell_start
-        }
-        usable = not self._wildcard
-        if usable:
-            for by_ev in self._routes.values():
-                for ev, feeds in by_ev.items():
-                    if ev in dispatch:
-                        usable = False
-                        break
-                    dispatch[ev] = feeds[0] if len(feeds) == 1 else _fan(
-                        feeds
-                    )
-                if not usable:
-                    break
-        self._ev_dispatch: Optional[Dict[str, Callable[..., None]]] = (
-            dispatch if usable else None
-        )
+                if (
+                    type(invariant) is MonotoneClock
+                    and self.on_backwards is None
+                ):
+                    self.on_backwards = invariant.backwards
+                    continue
+                events = [ALL_EVENTS]
+            else:
+                # The event name alone routes: see repro.obs.fold.
+                events = [ev for _cat, ev in invariant.interests]
+            for ev in events:
+                routes.setdefault(ev, []).append(invariant.feed)
+        self.handlers = {ev: fan(feeds) for ev, feeds in routes.items()}
 
-    def _on_cell_start(
-        self,
-        index: int,
-        t: Optional[float],
-        cat: str,
-        ev: str,
-        fields: Dict[str, Any],
-    ) -> None:
-        """Cell boundary (live-sink dispatch target)."""
-        if cat != "run":
-            return
-        if self._cells:
-            self._settle_cell()
-            self._instantiate()
+    def on_cell(self, fields: Dict[str, Any]) -> None:
+        self._settle_cell()
+        self._instantiate()
         self._cell = fields.get("index")
-        self._cells += 1
-
-    def observe_clock(
-        self,
-        index: int,
-        t: float,
-        cat: str,
-        ev: str,
-        fields: Dict[str, Any],
-        last: float,
-    ) -> None:
-        """Record a backwards-clock violation found by a fast path."""
-        clock = self._clock
-        if clock is not None:
-            clock._violate(
-                index, t, cat, ev, fields,
-                f"time ran backwards: {t:g} after {last:g}",
-            )
-
-    def account_events(self, total_seen: int) -> None:
-        """Fold events a fast path filtered out back into the count."""
-        if total_seen > self._events:
-            self._events = total_seen
-            if self._cells == 0:
-                self._cells = 1
 
     def _settle_cell(self) -> None:
         """Finish the active invariants and harvest their violations."""
@@ -289,50 +205,10 @@ class ShadowChecker:
                 self._violations.append(violation)
             invariant.violations = []
 
-    def feed(self, event: TraceEvent) -> None:
-        """Route one event through the active invariants."""
-        self.feed_raw(event.index, event.t, event.cat, event.ev, event.fields)
-
-    def feed_raw(
-        self,
-        index: int,
-        t: Optional[float],
-        cat: str,
-        ev: str,
-        fields: Dict[str, Any],
-    ) -> None:
-        """:meth:`feed` without the :class:`TraceEvent` envelope.
-
-        This is the per-record hot path (a quick run-all emits millions
-        of events); the common case is one int compare, one failed
-        string compare, the wildcard calls, and a two-level route
-        lookup.
-        """
-        self._events += 1
-        if cat == "run" and ev == "cell_start":
-            self._on_cell_start(index, t, cat, ev, fields)
-        elif self._cells == 0 and cat != "spec":
-            # A raw single-cell trace (no runner markers): implicit cell.
-            self._cells = 1
-        if t is not None:
-            last = self._last_t
-            if last is not None and t < last:
-                self.observe_clock(index, t, cat, ev, fields, last)
-            self._last_t = t
-        for feed in self._wildcard:
-            feed(index, t, cat, ev, fields)
-        by_ev = self._routes.get(cat)
-        if by_ev is not None:
-            feeds = by_ev.get(ev)
-            if feeds is not None:
-                for feed in feeds:
-                    feed(index, t, cat, ev, fields)
-
-    def finalize(self, truncated: bool = False) -> CheckReport:
+    def finish(self, stream: Stream) -> CheckReport:
         """Settle the last cell and produce the report (idempotent)."""
-        if not self._closed:
+        if self._report is None:
             self._settle_cell()
-            self._closed = True
             if self._violations:
                 counter = _obs.registry().counter(
                     "repro_spec_violations_total",
@@ -341,25 +217,21 @@ class ShadowChecker:
                 )
                 for violation in self._violations:
                     counter.inc(1, invariant=violation.invariant)
-        return CheckReport(
-            violations=list(self._violations),
-            events_checked=self._events,
-            cells_checked=self._cells,
-            invariant_names=list(self._names),
-            truncated=truncated,
-        )
-
-    def run(
-        self, events: Iterable[TraceEvent], truncated: bool = False
-    ) -> CheckReport:
-        """Feed a whole stream and finalize."""
-        for event in events:
-            self.feed(event)
-        return self.finalize(truncated=truncated)
+            self._report = CheckReport(
+                violations=self._violations,
+                events_checked=stream.records,
+                cells_checked=stream.cells,
+                invariant_names=self._names,
+                truncated=stream.truncated,
+            )
+        return self._report
 
 
-class CheckingSink:
-    """A sink wrapper: forward every record, shadow-check it live.
+def CheckingSink(
+    inner: Any,
+    invariants: Optional[Sequence[InvariantFactory]] = None,
+) -> FoldSink:
+    """A fold driver carrying one :class:`ShadowChecker`.
 
     Drop-in for any :class:`~repro.obs.trace.Tracer` sink::
 
@@ -368,77 +240,8 @@ class CheckingSink:
             ...
         report = checking.finalize()
 
-    The wrapped sink still owns durability (flush/close are forwarded);
-    the checker sees each record exactly once, in emission order.
+    A function, not a subclass: stacked drivers then share one type,
+    which keeps the interpreter's attribute caches in
+    :meth:`FoldSink.write` monomorphic.
     """
-
-    def __init__(
-        self,
-        inner: Any,
-        invariants: Optional[Sequence[InvariantFactory]] = None,
-    ) -> None:
-        self.inner = inner
-        self.checker = ShadowChecker(invariants)
-        self._index = 0
-        # Bound-method cache: write() runs once per emitted record.
-        self._inner_write = inner.write
-
-    def write(self, record: TraceRecord) -> None:
-        self._inner_write(record)
-        t, cat, ev, fields = record
-        index = self._index
-        self._index = index + 1
-        checker = self.checker
-        # Re-read the dispatch table each record: a cell boundary swaps
-        # in fresh invariant instances (and a fresh table) mid-stream.
-        dispatch = checker._ev_dispatch
-        if dispatch is None:
-            checker.feed_raw(index, t, cat, ev, fields)
-            return
-        if t is not None:
-            last = checker._last_t
-            if last is not None and t < last:
-                checker.observe_clock(index, t, cat, ev, fields, last)
-            checker._last_t = t
-        fn = dispatch.get(ev)
-        if fn is not None:
-            fn(index, t, cat, ev, fields)
-
-    def flush(self) -> None:
-        flush = getattr(self.inner, "flush", None)
-        if flush is not None:
-            flush()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def records(self) -> List[TraceRecord]:
-        return self.inner.records()
-
-    def finalize(self) -> CheckReport:
-        self.checker.account_events(self._index)
-        return self.checker.finalize()
-
-
-def check_records(
-    records: Iterable[TraceRecord],
-    invariants: Optional[Sequence[InvariantFactory]] = None,
-) -> CheckReport:
-    """Check an in-memory record list (e.g. a ring-buffer snapshot)."""
-    return ShadowChecker(invariants).run(iter_record_events(records))
-
-
-def check_file(
-    path: str,
-    invariants: Optional[Sequence[InvariantFactory]] = None,
-) -> CheckReport:
-    """Check a JSONL trace file; tolerates a torn final row."""
-    checker = ShadowChecker(invariants)
-    truncated = False
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            for event in iter_jsonl_events(handle):
-                checker.feed(event)
-        except TruncatedTrace:
-            truncated = True
-    return checker.finalize(truncated=truncated)
+    return FoldSink(inner, ShadowChecker(invariants))

@@ -1,11 +1,10 @@
-"""Typed trace events: the checker's input vocabulary.
+"""Typed trace events: JSONL trace rows, parsed.
 
-A trace reaches the checker in one of two shapes — JSONL rows written
-by :class:`repro.obs.trace.JsonlSink` (``{"t", "cat", "ev", ...}``) or
-in-memory :data:`repro.obs.trace.TraceRecord` tuples from a ring
-buffer or live sink.  Both normalize to :class:`TraceEvent`: the
-envelope triplet plus the flat field dict, tagged with the event's
-position in the stream so violations can pinpoint the exact row.
+:func:`iter_jsonl_events` turns rows written by
+:class:`repro.obs.trace.JsonlSink` (``{"t", "cat", "ev", ...}``) into
+:class:`TraceEvent`: the envelope triplet plus the flat field dict,
+tagged with the row's position in the stream.  The fold driver
+(:func:`repro.obs.fold.replay_file`) reads trace files through it.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ __all__ = [
     "TraceEvent",
     "TruncatedTrace",
     "iter_jsonl_events",
-    "iter_record_events",
 ]
 
 _ENVELOPE = ("t", "cat", "ev")
@@ -92,8 +90,3 @@ def iter_jsonl_events(lines: Iterable[str]) -> Iterator[TraceEvent]:
     if torn is not None:
         raise TruncatedTrace(f"trace ends with a torn row at line {torn}")
 
-
-def iter_record_events(records: Iterable[tuple]) -> Iterator[TraceEvent]:
-    """Wrap in-memory ``(t, cat, ev, fields)`` tuples as events."""
-    for index, (t, cat, ev, fields) in enumerate(records):
-        yield TraceEvent(index=index, t=t, cat=cat, ev=ev, fields=fields)

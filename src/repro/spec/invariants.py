@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.fold import ALL_EVENTS
+
 __all__ = [
     "ALL_EVENTS",
     "DEFAULT_INVARIANTS",
@@ -50,9 +52,6 @@ __all__ = [
     "NoFalseExpiry",
     "Violation",
 ]
-
-#: Sentinel interest: route every event to the invariant.
-ALL_EVENTS = "*"
 
 #: Absolute slack for float time comparisons.  Deadlines and event
 #: times come from the same float arithmetic, so the true tolerance is
@@ -144,11 +143,15 @@ class MonotoneClock(Invariant):
             return
         last = self._last
         if last is not None and t < last:
-            self._violate(
-                index, t, cat, ev, fields,
-                f"time ran backwards: {t:g} after {last:g}",
-            )
+            self.backwards(index, t, cat, ev, fields, last)
         self._last = t
+
+    def backwards(self, index, t, cat, ev, fields, last) -> None:
+        """The violation; the fold driver's inline clock check calls it."""
+        self._violate(
+            index, t, cat, ev, fields,
+            f"time ran backwards: {t:g} after {last:g}",
+        )
 
 
 class MonotoneTransferIds(Invariant):

@@ -16,7 +16,8 @@ import pytest
 from repro.experiments.common import run_cells
 from repro.obs import runtime as _obs
 from repro.obs import telemetry as _telemetry
-from repro.obs.spans import build_from_records
+from repro.obs.fold import replay
+from repro.obs.spans import SpanBuilder
 from repro.obs.trace import CATEGORIES, RingBufferSink, Tracer
 from repro.protocols.sharded import (
     ScaleListenerSession,
@@ -26,6 +27,11 @@ from repro.protocols.sharded import (
     shard_cell,
     shard_metrics,
 )
+
+
+def _spans(records):
+    (report,) = replay(records, SpanBuilder())
+    return report
 
 
 def _merged(n, shards, jobs=1, **kwargs):
@@ -174,7 +180,7 @@ def test_trace_stream_and_spans_render_shards():
     assert {s["shard"] for s in starts} == {0, 1}
     assert all({"lo", "hi", "receivers"} <= set(s) for s in starts)
 
-    report = build_from_records(records)
+    report = _spans(records)
     shard_spans = [s for s in report.spans if s.kind == "shard"]
     assert len(shard_spans) == 2
     for span in shard_spans:
@@ -193,7 +199,7 @@ def test_shard_end_without_start_is_truncated_span():
         (10.0, "run", "shard_end", {"shard": 0, "held": 5,
                                     "false_expiries": 1}),
     ]
-    report = build_from_records(records)
+    report = _spans(records)
     (span,) = report.spans
     assert span.kind == "shard" and span.truncated
     assert span.status == "merged"

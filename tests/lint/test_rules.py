@@ -499,7 +499,7 @@ def test_rpr005_quiet_when_guarded_by_receiver_check():
 
 def test_rpr005_quiet_when_tracer_is_parameter():
     # Injected-tracer contract: the caller holds the guard
-    # (Environment._run_traced / _emit_fired).
+    # (Environment._run_instrumented / _emit_fired).
     found = findings_for(
         "RPR005",
         """
@@ -730,7 +730,7 @@ def test_rpr009_quiet_when_guarded_by_precomputed_check():
 
 def test_rpr009_quiet_when_hook_target_is_parameter():
     # Injected-observer contract: the caller holds the guard
-    # (Environment._run_profiled receives ``prof`` pre-checked).
+    # (Environment._run_instrumented receives ``prof`` pre-checked).
     found = findings_for(
         "RPR009",
         """

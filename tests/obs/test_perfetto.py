@@ -2,8 +2,14 @@
 
 import json
 
+from repro.obs.fold import replay
 from repro.obs.perfetto import report_to_trace_events
-from repro.obs.spans import build_from_records
+from repro.obs.spans import SpanBuilder
+
+
+def _spans(records):
+    (report,) = replay(records, SpanBuilder())
+    return report
 
 
 def _stream():
@@ -25,7 +31,7 @@ def _stream():
 
 
 def test_trace_event_document_shape():
-    document = report_to_trace_events(build_from_records(_stream()))
+    document = report_to_trace_events(_spans(_stream()))
     assert set(document) == {"traceEvents", "displayTimeUnit"}
     assert document["displayTimeUnit"] == "ms"
     for event in document["traceEvents"]:
@@ -39,7 +45,7 @@ def test_trace_event_document_shape():
 
 
 def test_complete_events_scale_sim_seconds_to_microseconds():
-    document = report_to_trace_events(build_from_records(_stream()))
+    document = report_to_trace_events(_spans(_stream()))
     record = next(
         e
         for e in document["traceEvents"]
@@ -51,7 +57,7 @@ def test_complete_events_scale_sim_seconds_to_microseconds():
 
 
 def test_tracks_are_per_cell_and_label():
-    document = report_to_trace_events(build_from_records(_stream()))
+    document = report_to_trace_events(_spans(_stream()))
     metadata = [e for e in document["traceEvents"] if e["ph"] == "M"]
     thread_names = {
         e["args"]["name"] for e in metadata if e["name"] == "thread_name"
@@ -62,7 +68,7 @@ def test_tracks_are_per_cell_and_label():
 
 
 def test_consistency_samples_become_counter_events():
-    document = report_to_trace_events(build_from_records(_stream()))
+    document = report_to_trace_events(_spans(_stream()))
     counters = [e for e in document["traceEvents"] if e["ph"] == "C"]
     (counter,) = counters
     assert counter["name"] == "consistency s0"
@@ -72,6 +78,6 @@ def test_consistency_samples_become_counter_events():
 
 
 def test_export_is_deterministic():
-    first = report_to_trace_events(build_from_records(_stream()))
-    second = report_to_trace_events(build_from_records(_stream()))
+    first = report_to_trace_events(_spans(_stream()))
+    second = report_to_trace_events(_spans(_stream()))
     assert first == second

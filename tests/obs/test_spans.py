@@ -7,19 +7,21 @@ request/service pairs, and the runner's ``cell_start`` partition
 marker.  What the tests pin is the *folding contract* from
 docs/SPANS.md — every lifecycle becomes exactly one span, lossy input
 surfaces as ``truncated=True`` spans rather than silent drops, and the
-live ``SpanSink`` produces the same report as a post-hoc rebuild.
+live ``SpanSink`` produces the same report as a replay.
+tests/obs/test_fold.py pins the same agreement on a full traced run.
 """
 
 import json
 
 from repro.obs import runtime as _obs
-from repro.obs.spans import (
-    SpanBuilder,
-    SpanSink,
-    build_from_file,
-    build_from_records,
-)
+from repro.obs.fold import Stream, replay, replay_file
+from repro.obs.spans import SpanBuilder, SpanSink
 from repro.obs.trace import RingBufferSink
+
+
+def _spans(records, dropped=0):
+    (report,) = replay(records, SpanBuilder(), dropped=dropped)
+    return report
 
 
 def _basic_stream():
@@ -40,7 +42,7 @@ def _basic_stream():
 
 
 def test_record_lifecycle_span_with_packet_parent():
-    report = build_from_records(_basic_stream())
+    report = _spans(_basic_stream())
     records = [s for s in report.spans if s.kind == "record"]
     packets = [s for s in report.spans if s.kind == "packet"]
     assert len(records) == 1 and len(packets) == 1
@@ -60,7 +62,7 @@ def test_record_lifecycle_span_with_packet_parent():
 
 
 def test_packet_span_latency_breakdown():
-    report = build_from_records(_basic_stream())
+    report = _spans(_basic_stream())
     packet = next(s for s in report.spans if s.kind == "packet")
     assert packet.status == "delivered"
     assert abs(packet.fields["queue_s"] - 0.1) < 1e-12
@@ -76,7 +78,7 @@ def test_lost_packet_closes_lost():
         (0.1, "packet", "packet_lost",
          {"chan": "data", "seq": 7, "kind": "update", "key": "k"}),
     ]
-    report = build_from_records(stream)
+    report = _spans(stream)
     (span,) = report.spans
     assert span.status == "lost" and not span.truncated
 
@@ -95,7 +97,7 @@ def test_multicast_aggregate_send_closes_span():
          {"chan": "mc", "seq": 3, "kind": "announce", "key": "k",
           "receivers": 3, "lost": 1}),
     ]
-    report = build_from_records(stream)
+    report = _spans(stream)
     (span,) = report.spans
     assert span.status == "delivered"
     assert span.fields["delivered"] == 2
@@ -112,7 +114,7 @@ def test_repair_chain_depth_and_duplicate_service():
         # truncated one.
         (4.0, "record", "repair_sent", {"key": "k", "seqs": [5]}),
     ]
-    report = build_from_records(stream)
+    report = _spans(stream)
     repairs = [s for s in report.spans if s.kind == "repair"]
     assert len(repairs) == 2
     original, duplicate = repairs
@@ -134,7 +136,7 @@ def test_cell_start_partitions_and_closes_open_spans():
          {"table": "t1", "key": "a", "role": "publisher"}),
         (0.9, "record", "record_deleted", {"table": "t1", "key": "a"}),
     ]
-    report = build_from_records(stream)
+    report = _spans(stream)
     first, second = (s for s in report.spans if s.kind == "record")
     assert first.cell == 0 and first.status == "live"
     assert second.cell == 1 and second.status == "deleted"
@@ -148,7 +150,7 @@ def test_ring_wraparound_reports_truncated_spans():
     for record in _basic_stream():
         sink.write(record)
     assert sink.dropped > 0
-    report = build_from_records(sink.records(), dropped=sink.dropped)
+    report = _spans(sink.records(), dropped=sink.dropped)
     assert report.truncated_input
     # The surviving tail is refresh_received + record_expired: the
     # record's lifecycle must still be reported, flagged truncated.
@@ -166,7 +168,7 @@ def test_untruncated_ring_input_is_clean():
     sink = RingBufferSink(capacity=None)
     for record in _basic_stream():
         sink.write(record)
-    report = build_from_records(sink.records(), dropped=sink.dropped)
+    report = _spans(sink.records(), dropped=sink.dropped)
     assert not report.truncated_input
     assert report.truncated_spans() == 0
 
@@ -179,7 +181,7 @@ def test_torn_tail_jsonl_reconstruction(tmp_path):
         rows.append(json.dumps({"t": t, "cat": cat, "ev": ev, **fields}))
     text = "\n".join(rows) + "\n" + '{"t": 9.9, "cat": "rec'
     path.write_text(text, encoding="utf-8")
-    report = build_from_file(str(path))
+    (report,) = replay_file(str(path), SpanBuilder())
     assert report.truncated_input
     record = next(s for s in report.spans if s.kind == "record")
     assert record.status == "expired"
@@ -192,7 +194,7 @@ def test_span_sink_matches_posthoc_build():
     for record in _basic_stream():
         sink.write(record)
     live = sink.finalize()
-    posthoc = build_from_records(inner.records())
+    posthoc = _spans(inner.records())
     assert [s.as_dict() for s in live.spans] == [
         s.as_dict() for s in posthoc.spans
     ]
@@ -205,7 +207,7 @@ def test_finalize_publishes_derived_metrics():
         (7.0, "record", "repair_sent", {"key": "k", "seqs": [1]}),
     ]
     with _obs.cell_context() as ctx:
-        build_from_records(stream)
+        _spans(stream)
     snapshot = ctx.registry.snapshot()
     staleness = snapshot["repro_record_staleness_seconds"]
     assert staleness["kind"] == "histogram"
@@ -222,7 +224,7 @@ def test_describe_mentions_truncation_and_reconciliation():
     sink = RingBufferSink(capacity=2)
     for record in _basic_stream():
         sink.write(record)
-    report = build_from_records(sink.records(), dropped=sink.dropped)
+    report = _spans(sink.records(), dropped=sink.dropped)
     text = report.describe()
     assert "truncated input" in text
     assert "truncated" in text
@@ -230,9 +232,17 @@ def test_describe_mentions_truncation_and_reconciliation():
 
 
 def test_builder_feed_raw_matches_feed():
+    # The fold's raw per-record entry is its handler table (and
+    # on_cell for a cell marker): calling them by hand, with no
+    # driver, gives the replay's counts.
     records = _basic_stream()
     via_raw = SpanBuilder()
-    for t, cat, ev, fields in records:
-        via_raw.feed_raw(t, cat, ev, fields)
-    raw_report = via_raw.finalize()
-    assert raw_report.counts == build_from_records(records).counts
+    for index, (t, cat, ev, fields) in enumerate(records):
+        if (cat, ev) == ("run", "cell_start"):
+            via_raw.on_cell(fields)
+            continue
+        handler = via_raw.handlers.get(ev)
+        if handler is not None:
+            handler(index, t, cat, ev, fields)
+    raw_report = via_raw.finish(Stream(len(records), 1, False))
+    assert raw_report.counts == _spans(records).counts

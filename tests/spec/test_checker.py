@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.record import SoftStateTable
 from repro.obs import runtime as _obs
+from repro.obs.fold import replay, replay_file
 from repro.obs.trace import (
     FAULT,
     PACKET,
@@ -19,11 +20,15 @@ from repro.obs.trace import (
     Tracer,
 )
 from repro.protocols import OpenLoopSession, TwoQueueSession
-from repro.spec import CheckingSink, ShadowChecker, check_file, check_records
-from repro.spec.events import iter_record_events
+from repro.spec import CheckingSink, ShadowChecker
 from repro.sstp import SstpSession
 
 _CATS = (PACKET, RECORD, FAULT, RUN)
+
+
+def _check(records):
+    (report,) = replay(records, ShadowChecker())
+    return report
 
 
 def _traced_run(builder, horizon=60.0):
@@ -43,7 +48,7 @@ def test_openloop_session_trace_passes_all_invariants():
             data_kbps=50.0, loss_rate=0.2, update_rate=1.0, seed=3
         )
     )
-    report = check_records(records)
+    report = _check(records)
     assert report.ok, report.describe()
     assert report.events_checked == len(records)
     assert report.cells_checked == 1
@@ -58,7 +63,7 @@ def test_sstp_session_trace_passes_all_invariants():
             session.publish(f"data/item{index}", index)
         return session
 
-    report = check_records(_traced_run(build))
+    report = _check(_traced_run(build))
     assert report.ok, report.describe()
 
 
@@ -88,7 +93,7 @@ def test_early_expiry_mutation_is_caught(early_expiry):
         ),
         horizon=80.0,
     )
-    report = check_records(records)
+    report = _check(records)
     assert not report.ok
     first = report.first_violation
     assert first.invariant == "no-false-expiry"
@@ -117,7 +122,7 @@ def test_dropped_refresh_mutation_is_caught(dropped_refresh):
         ),
         horizon=80.0,
     )
-    report = check_records(records)
+    report = _check(records)
     assert not report.ok
     first = report.first_violation
     assert first.invariant == "no-false-expiry"
@@ -146,7 +151,7 @@ def test_cell_markers_reset_invariant_state():
     with _obs.tracing(tracer):
         one_cell()
         one_cell()
-    report = check_records(tracer.sink.records())
+    report = _check(tracer.sink.records())
     assert report.ok, report.describe()
     assert report.cells_checked == 2
 
@@ -160,7 +165,7 @@ def test_violations_are_tagged_with_their_cell():
         (5.0, "run", "x", {}),
         (1.0, "run", "x", {}),  # clock runs backwards inside cell 1
     ]
-    report = check_records(rows)
+    report = _check(rows)
     assert not report.ok
     assert report.first_violation.cell == 1
 
@@ -178,14 +183,14 @@ def test_check_file_roundtrip_and_truncation(tmp_path):
         )
         session.run(30.0)
     tracer.close()
-    report = check_file(str(path))
+    (report,) = replay_file(str(path), ShadowChecker())
     assert report.ok
     assert not report.truncated
 
     # Chop the file mid-row: still checkable, flagged as truncated.
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
-    truncated_report = check_file(str(path))
+    (truncated_report,) = replay_file(str(path), ShadowChecker())
     assert truncated_report.truncated
     assert truncated_report.events_checked == report.events_checked - 1
 
@@ -206,7 +211,7 @@ def test_checking_sink_checks_live_and_forwards(tmp_path):
 
 def test_violations_bump_the_metric_counter():
     with _obs.cell_context() as ctx:
-        report = check_records(
+        report = _check(
             [(2.0, "run", "x", {}), (1.0, "run", "x", {})]
         )
         assert not report.ok
@@ -219,9 +224,9 @@ def test_violations_bump_the_metric_counter():
 
 
 def test_finalize_is_idempotent():
-    checker = ShadowChecker()
-    for event in iter_record_events([(2.0, "run", "x", {}), (1.0, "run", "x", {})]):
-        checker.feed(event)
-    first = checker.finalize()
-    second = checker.finalize()
+    checking = CheckingSink(None)
+    for record in [(2.0, "run", "x", {}), (1.0, "run", "x", {})]:
+        checking.write(record)
+    first = checking.finalize()
+    second = checking.finalize()
     assert len(first.violations) == len(second.violations) == 1

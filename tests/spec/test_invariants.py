@@ -1,7 +1,7 @@
 """Unit tests: each invariant's state machine on synthetic streams."""
 
-from repro.spec.checker import ShadowChecker, check_records
-from repro.spec.events import iter_record_events
+from repro.obs.fold import replay
+from repro.spec.checker import ShadowChecker
 from repro.spec.invariants import (
     BoundedReconsistency,
     DeliveryConservation,
@@ -314,7 +314,7 @@ def test_window_overlapping_recovery_interval_is_skipped():
 def test_checker_routes_only_interesting_events():
     # A stream full of unrelated events must not disturb any invariant.
     rows = [(float(t), "kernel", "timer_set", {"delay": 1}) for t in range(50)]
-    report = check_records(rows)
+    (report,) = replay(rows, ShadowChecker())
     assert report.ok
     assert report.events_checked == 50
 
@@ -324,6 +324,6 @@ def test_checker_report_pinpoints_first_violation():
         (0.0, "packet", "packet_sent", {"chan": "c0", "seq": 1, "lost": False}),
         (1.0, "packet", "packet_sent", {"chan": "c0", "seq": 1, "lost": False}),
     ]
-    report = ShadowChecker().run(iter_record_events(rows))
+    (report,) = replay(rows, ShadowChecker())
     assert not report.ok
     assert report.first_violation.index == 1
