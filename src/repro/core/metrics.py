@@ -13,6 +13,12 @@ annotating the consistency time series with fault windows and deriving,
 per fault, the time to re-consistency, the stale-read exposure, and the
 false-expiry count (the scalable-timers trade-off: receiver state aged
 out while the sender was merely crashed, not dead).
+
+All three keep plain numbers on the per-event path.  They publish into
+the ambient :class:`repro.obs.Registry` through one collector per label
+set (:meth:`repro.obs.Registry.collector`), which the registry folds in
+on every read — so nothing here calls into :mod:`repro.obs.metrics` per
+packet.
 """
 
 from __future__ import annotations
@@ -25,28 +31,25 @@ from repro.obs import runtime as _obs
 from repro.obs.trace import WARNING as _WARNING
 
 
-class LatencyRecorder:
-    """Tracks per-(key, version) introduction and first-receipt times.
+class _LatencySeries:
+    """Unpublished latency numbers of one ``(session, protocol)`` label set.
 
-    Only successfully received items contribute to the mean — exactly
-    the convention the paper uses ("the average T_recv is measured only
-    over all successful transmissions").
-
-    The exact per-item bookkeeping here stays authoritative; the
-    recorder additionally publishes counters and a latency histogram
-    into the ambient :class:`repro.obs.Registry`, labeled by session
-    and protocol, so runs can be inspected without touching results.
+    Every :class:`LatencyRecorder` on the label set shares it, so the
+    latency histogram's float ``sum`` adds receipts in receipt order.
     """
 
-    def __init__(self, session: str = "", protocol: str = "") -> None:
-        self._introduced: Dict[Tuple[Any, int], float] = {}
-        self._latencies: List[float] = []
-        #: Re-introductions of a still-pending (key, version) — see
-        #: :meth:`introduced`.  The first timestamp stays authoritative.
-        self.duplicate_introductions = 0
-        self._labels = {"session": session, "protocol": protocol}
-        self._trace = _obs.current_tracer()
-        registry = _obs.registry()
+    __slots__ = (
+        "introduced",
+        "duplicates",
+        "latencies",
+        "_key",
+        "_m_introduced",
+        "_m_received",
+        "_m_duplicates",
+        "_h_latency",
+    )
+
+    def __init__(self, registry, session: str, protocol: str) -> None:
         label_names = ("session", "protocol")
         self._m_introduced = registry.counter(
             "repro_latency_introduced_total",
@@ -68,6 +71,50 @@ class LatencyRecorder:
             "Receive latency T_recv: introduction to first receipt.",
             label_names,
         )
+        self._key = self._m_introduced.bind(session=session, protocol=protocol)
+        self.introduced = 0
+        self.duplicates = 0
+        self.latencies: List[float] = []
+
+    def collect(self) -> None:
+        key = self._key
+        if self.introduced:
+            self._m_introduced.inc_bound(key, self.introduced)
+            self.introduced = 0
+        if self.duplicates:
+            self._m_duplicates.inc_bound(key, self.duplicates)
+            self.duplicates = 0
+        if self.latencies:
+            self._m_received.inc_bound(key, len(self.latencies))
+            self._h_latency.observe_bound(key, self.latencies)
+            self.latencies = []
+
+
+class LatencyRecorder:
+    """Tracks per-(key, version) introduction and first-receipt times.
+
+    Only successfully received items contribute to the mean — exactly
+    the convention the paper uses ("the average T_recv is measured only
+    over all successful transmissions").
+
+    The exact per-item bookkeeping here stays authoritative; the
+    recorder also publishes counters and a latency histogram into the
+    ambient :class:`repro.obs.Registry`, labeled by session and
+    protocol, so runs can be inspected without touching results.
+    """
+
+    def __init__(self, session: str = "", protocol: str = "") -> None:
+        self._introduced: Dict[Tuple[Any, int], float] = {}
+        self._latencies: List[float] = []
+        #: Re-introductions of a still-pending (key, version) — see
+        #: :meth:`introduced`.  The first timestamp stays authoritative.
+        self.duplicate_introductions = 0
+        self._trace = _obs.current_tracer()
+        registry = _obs.registry()
+        self._series = registry.collector(
+            ("latency", str(session), str(protocol)),
+            lambda: _LatencySeries(registry, session, protocol),
+        )
 
     def introduced(self, key: Any, version: int, now: float) -> None:
         """A new value for (key, version) entered the publisher table.
@@ -81,7 +128,7 @@ class LatencyRecorder:
         first = self._introduced.get((key, version))
         if first is not None:
             self.duplicate_introductions += 1
-            self._m_duplicates.inc(**self._labels)
+            self._series.duplicates += 1
             tr = self._trace
             if tr is not None and tr.warning:
                 tr.emit(
@@ -94,7 +141,7 @@ class LatencyRecorder:
                 )
             return
         self._introduced[(key, version)] = now
-        self._m_introduced.inc(**self._labels)
+        self._series.introduced += 1
 
     def received(self, key: Any, version: int, now: float) -> Optional[float]:
         """First receipt at a subscriber; returns the latency if new."""
@@ -103,8 +150,7 @@ class LatencyRecorder:
             return None  # duplicate receipt or never tracked
         latency = now - start
         self._latencies.append(latency)
-        self._m_received.inc(**self._labels)
-        self._h_latency.observe(latency, **self._labels)
+        self._series.latencies.append(latency)
         return latency
 
     def abandoned(self, key: Any, version: int) -> None:
@@ -142,6 +188,40 @@ class LatencyRecorder:
         return max(self._latencies) if self._latencies else math.nan
 
 
+class _LedgerSeries:
+    """Unpublished bits and packets of one ``(session, protocol)`` label
+    set, per category touched since the last fold."""
+
+    __slots__ = ("bits", "packets", "_labels", "_m_bits", "_m_packets")
+
+    def __init__(self, registry, session: str, protocol: str) -> None:
+        label_names = ("session", "protocol", "category")
+        self._m_bits = registry.counter(
+            "repro_bandwidth_bits_total",
+            "Bits sent, by purpose (Figure 4 accounting).",
+            label_names,
+        )
+        self._m_packets = registry.counter(
+            "repro_bandwidth_packets_total",
+            "Packets sent, by purpose.",
+            label_names,
+        )
+        self._labels = (session, protocol)
+        self.bits: Dict[str, float] = {}
+        self.packets: Dict[str, int] = {}
+
+    def collect(self) -> None:
+        session, protocol = self._labels
+        for category, bits in self.bits.items():
+            key = self._m_bits.bind(
+                session=session, protocol=protocol, category=category
+            )
+            self._m_bits.inc_bound(key, bits)
+            self._m_packets.inc_bound(key, self.packets[category])
+        self.bits = {}
+        self.packets = {}
+
+
 class BandwidthLedger:
     """Bits sent, broken down by purpose.
 
@@ -161,18 +241,10 @@ class BandwidthLedger:
     def __init__(self, session: str = "", protocol: str = "") -> None:
         self._bits: Dict[str, float] = {c: 0.0 for c in self.CATEGORIES}
         self._packets: Dict[str, int] = {c: 0 for c in self.CATEGORIES}
-        self._labels = {"session": session, "protocol": protocol}
         registry = _obs.registry()
-        label_names = ("session", "protocol", "category")
-        self._m_bits = registry.counter(
-            "repro_bandwidth_bits_total",
-            "Bits sent, by purpose (Figure 4 accounting).",
-            label_names,
-        )
-        self._m_packets = registry.counter(
-            "repro_bandwidth_packets_total",
-            "Packets sent, by purpose.",
-            label_names,
+        self._series = registry.collector(
+            ("bandwidth", str(session), str(protocol)),
+            lambda: _LedgerSeries(registry, session, protocol),
         )
 
     def add(self, category: str, bits: float, packets: int = 1) -> None:
@@ -185,8 +257,9 @@ class BandwidthLedger:
             raise ValueError(f"bits must be non-negative, got {bits}")
         self._bits[category] += bits
         self._packets[category] += packets
-        self._m_bits.inc(bits, category=category, **self._labels)
-        self._m_packets.inc(packets, category=category, **self._labels)
+        series = self._series
+        series.bits[category] = series.bits.get(category, 0.0) + bits
+        series.packets[category] = series.packets.get(category, 0) + packets
 
     def bits(self, category: str) -> float:
         if category not in self._bits:
@@ -260,6 +333,36 @@ class FaultReport:
     false_expiries: int
 
 
+class _RecoverySeries:
+    """Unpublished fault windows (per kind) and false expiries of every
+    :class:`RecoveryTracker` on one registry."""
+
+    __slots__ = (
+        "windows", "false_expiries", "_m_windows", "_m_false_expiries"
+    )
+
+    def __init__(self, registry) -> None:
+        self._m_windows = registry.counter(
+            "repro_fault_windows_total",
+            "Fault windows registered on the recovery tracker.",
+            ("kind",),
+        )
+        self._m_false_expiries = registry.counter(
+            "repro_false_expiries_total",
+            "Receiver expirations of data the publisher still held.",
+        )
+        self.windows: Dict[str, int] = {}
+        self.false_expiries = 0
+
+    def collect(self) -> None:
+        for kind, count in self.windows.items():
+            self._m_windows.inc_bound(self._m_windows.bind(kind=kind), count)
+        self.windows = {}
+        if self.false_expiries:
+            self._m_false_expiries.inc_bound((), self.false_expiries)
+            self.false_expiries = 0
+
+
 class RecoveryTracker:
     """Fault windows, false-expiry events, and per-fault recovery stats.
 
@@ -284,14 +387,8 @@ class RecoveryTracker:
         self.windows: List[FaultWindow] = []
         self.false_expiry_events: List[Tuple[float, Any]] = []
         registry = _obs.registry()
-        self._m_windows = registry.counter(
-            "repro_fault_windows_total",
-            "Fault windows registered on the recovery tracker.",
-            ("kind",),
-        )
-        self._m_false_expiries = registry.counter(
-            "repro_false_expiries_total",
-            "Receiver expirations of data the publisher still held.",
+        self._series = registry.collector(
+            ("recovery",), lambda: _RecoverySeries(registry)
         )
 
     # -- recording -----------------------------------------------------------
@@ -302,13 +399,14 @@ class RecoveryTracker:
             raise ValueError(f"window ends ({end}) before it starts ({start})")
         window = FaultWindow(label=label, kind=kind, start=start, end=end)
         self.windows.append(window)
-        self._m_windows.inc(kind=kind)
+        windows = self._series.windows
+        windows[kind] = windows.get(kind, 0) + 1
         return window
 
     def note_false_expiry(self, now: float, key: Any) -> None:
         """A receiver's copy aged out while the publisher still held it."""
         self.false_expiry_events.append((now, key))
-        self._m_false_expiries.inc()
+        self._series.false_expiries += 1
 
     @property
     def false_expiries(self) -> int:

@@ -712,11 +712,12 @@ class Environment:
         ``prof`` is the profiler, or None: then the sampling countdown
         never reaches zero.  Every ``prof.sample_every``-th event's
         callback batch is timed and credited to the resumed process's
-        generator name (or the event type for bare callbacks).  The
-        countdown is a plain counter — no RNG, and no clock reads
-        outside the sampled window.  ``tr`` is the tracer when kernel
-        tracing is enabled, else None: each popped event is emitted
-        before its callbacks run.  Pop order, sim clock updates, and
+        generator name, to ``<owner type>.<method name>`` for a bound
+        method callback (``Channel._on_serviced``), or else to the event
+        type.  The countdown is a plain counter — no RNG, and no clock
+        reads outside the sampled window.  ``tr`` is the tracer when
+        kernel tracing is enabled, else None: each popped event is
+        emitted before its callbacks run.  Pop order, sim clock updates, and
         stop handling stay byte-identical to the other loops.
         """
         queue = self._queue
@@ -750,14 +751,12 @@ class Environment:
                     for callback in callbacks:
                         callback(event)
                     elapsed = perf() - start  # repro-lint: disable=RPR002
-                    if callbacks:
-                        owner = getattr(callbacks[0], "__self__", None)
-                        if type(owner) is Process:
-                            key = getattr(
-                                owner._generator, "__name__", "?"
-                            )
-                        else:
-                            key = type(event).__name__
+                    callback = callbacks[0] if callbacks else None
+                    owner = getattr(callback, "__self__", None)
+                    if type(owner) is Process:
+                        key = getattr(owner._generator, "__name__", "?")
+                    elif owner is not None:
+                        key = f"{type(owner).__name__}.{callback.__name__}"
                     else:
                         key = type(event).__name__
                     account(key, elapsed)

@@ -16,66 +16,48 @@ join/leave/block churn.  Seeded outputs are pinned by golden digests
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from typing import Any, Callable, Dict, Optional
 
-from repro.des import Environment, Store
+from repro.des import Environment, Event
+from repro.des.core import URGENT
 from repro.net.loss import BernoulliLoss, LossModel, NoLoss, TotalLoss
 from repro.net.packet import Packet, kbps_to_pps
 from repro.obs import runtime as _obs
 from repro.obs.trace import PACKET as _PACKET
 
 
-class Channel:
-    """A lossy FIFO server with a given bandwidth.
+class _FifoServer:
+    """The FIFO server both channel kinds share: queue and service timer.
 
-    Packets are serialized at ``rate_kbps``; after service, the loss
-    model decides whether the packet reaches the subscriber(s).  An
-    optional fixed propagation ``delay`` is added post-service.
-
-    ``on_serviced`` hooks fire for every serviced packet with the loss
-    outcome — protocols use this to account bandwidth and to drive
-    per-transmission death processes.
+    It runs as kernel callbacks, with no process: an urgent start entry
+    at construction, a dequeue entry at ``now`` when a packet is taken
+    into service, and the service timer, whose callback serves the
+    packet and takes the next step.  These are the heap entries a server
+    process blocked on a ``Store`` would push, at the same points, so
+    seeded runs keep their event order (docs/KERNEL.md, "Performance").
+    The dequeue entry and the timer stay separate events: merging them
+    would reorder same-time ties.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        rate_kbps: float,
-        loss: LossModel | None = None,
-        delay: float = 0.0,
-    ) -> None:
+    def __init__(self, env: Environment, rate_kbps: float) -> None:
         if rate_kbps <= 0:
             raise ValueError(f"rate_kbps must be positive, got {rate_kbps}")
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
         self.env = env
         self.rate_kbps = rate_kbps
-        self.loss = loss if loss is not None else NoLoss()
-        self.delay = delay
         #: Per-cell label for this channel's trace rows (never fed back
         #: into the simulation).
         self.chan = _obs.next_trace_label("c")
-        self._queue: Store = Store(env)
-        self._sinks: list[Callable[[Packet], None]] = []
-        self._serviced_hooks: list[Callable[[Packet, bool], None]] = []
-        self._completions: dict[int, Any] = {}
+        self._waiting: deque[Packet] = deque()
+        self._busy = True  # until the start entry pops
+        self._serviced_hooks: list[Callable[[Packet, Any], None]] = []
+        self._completions: Dict[int, Event] = {}
         self.packets_sent = 0
-        self.packets_delivered = 0
-        self.packets_dropped = 0
-        self.bits_sent = 0
-        env.process(self._pump())
+        start = Event(env)
+        start.callbacks.append(self._next)
+        start._ok, start._value = True, None
+        env._schedule(start, URGENT, 0.0)
 
-    # -- wiring -------------------------------------------------------------
-    def subscribe(self, sink: Callable[[Packet], None]) -> None:
-        """Register a delivery callback for surviving packets."""
-        self._sinks.append(sink)
-
-    def on_serviced(self, hook: Callable[[Packet, bool], None]) -> None:
-        """Register ``hook(packet, lost)`` called after every service."""
-        self._serviced_hooks.append(hook)
-
-    # -- sending ------------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Enqueue ``packet``; the caller is never blocked."""
         packet.created_at = self.env.now
@@ -89,18 +71,27 @@ class Channel:
                 key=packet.key,
                 seq=packet.seq,
                 size_bits=packet.size_bits,
-                backlog=len(self._queue),
+                backlog=len(self._waiting),
                 chan=self.chan,
             )
-        self._queue.put(packet)
+        if self._busy:
+            self._waiting.append(packet)
+        else:
+            self._busy = True
+            self._dequeue(packet)
 
-    def transmit(self, packet: Packet):
+    def on_serviced(self, hook: Callable[[Packet, Any], None]) -> None:
+        """Register ``hook(packet, outcome)`` called after every service;
+        ``outcome`` is the loss outcome a :meth:`transmit` event carries."""
+        self._serviced_hooks.append(hook)
+
+    def transmit(self, packet: Packet) -> Event:
         """Enqueue ``packet`` and return an event for its service completion.
 
-        The event's value is the loss outcome (True = lost).  This lets a
-        sender run the channel in *pull* mode — schedule the next record
-        only when the previous transmission finishes — which is how the
-        protocol senders keep their own hot/cold queues authoritative.
+        The event's value is the loss outcome.  This lets a sender run
+        the channel in *pull* mode — schedule the next record only when
+        the previous transmission finishes — which is how the protocol
+        senders keep their own hot/cold queues authoritative.
         """
         done = self.env.event()
         self._completions[packet.uid] = done
@@ -109,11 +100,75 @@ class Channel:
 
     @property
     def backlog(self) -> int:
-        """Packets queued but not yet serviced."""
-        return len(self._queue)
+        """Packets queued but not yet taken into service."""
+        return len(self._waiting)
 
     def service_time(self, packet: Packet) -> float:
         return packet.size_bits / (self.rate_kbps * 1000.0)
+
+    # -- internals ----------------------------------------------------------
+    def _dequeue(self, packet: Packet) -> None:
+        """Take ``packet`` into service: a dequeue entry at ``now``."""
+        event = Event(self.env)
+        event.callbacks.append(self._start)
+        event.succeed(packet)
+
+    def _start(self, event: Event) -> None:
+        """Arm the service timer for the dequeued packet."""
+        packet = event._value
+        timer = self.env.timeout(self.service_time(packet), packet)
+        timer.callbacks.append(self._on_serviced)
+
+    def _next(self, _event: Optional[Event] = None) -> None:
+        """Take the next waiting packet into service, or go idle."""
+        if self._waiting:
+            self._dequeue(self._waiting.popleft())
+        else:
+            self._busy = False
+
+    def _complete(self, packet: Packet, outcome: Any) -> None:
+        """Run the serviced hooks, then wake a pull-mode sender."""
+        for hook in self._serviced_hooks:
+            hook(packet, outcome)
+        completion = self._completions.pop(packet.uid, None)
+        if completion is not None:
+            completion.succeed(outcome)
+
+
+class Channel(_FifoServer):
+    """A lossy FIFO server with a given bandwidth.
+
+    Packets are serialized at ``rate_kbps``; after service, the loss
+    model decides whether the packet reaches the subscriber(s).  An
+    optional fixed propagation ``delay`` is added post-service.
+
+    ``on_serviced`` hooks fire for every serviced packet with the loss
+    outcome — protocols use this to account bandwidth and to drive
+    per-transmission death processes.  A :meth:`transmit` completion's
+    value is the loss outcome (True = lost).
+    """
+
+    def __init__(
+        self,
+        env: Environment,
+        rate_kbps: float,
+        loss: LossModel | None = None,
+        delay: float = 0.0,
+    ) -> None:
+        super().__init__(env, rate_kbps)
+        if delay < 0:
+            raise ValueError(f"delay must be non-negative, got {delay}")
+        self.loss = loss if loss is not None else NoLoss()
+        self.delay = delay
+        self._sinks: list[Callable[[Packet], None]] = []
+        self.packets_delivered = 0
+        self.packets_dropped = 0
+        self.bits_sent = 0
+
+    # -- wiring -------------------------------------------------------------
+    def subscribe(self, sink: Callable[[Packet], None]) -> None:
+        """Register a delivery callback for surviving packets."""
+        self._sinks.append(sink)
 
     @property
     def service_rate_pps(self) -> float:
@@ -121,49 +176,44 @@ class Channel:
         return kbps_to_pps(self.rate_kbps)
 
     # -- internals ----------------------------------------------------------
-    def _pump(self):
-        while True:
-            packet = yield self._queue.get()
-            yield self.env.timeout(self.service_time(packet))
-            self.packets_sent += 1
-            self.bits_sent += packet.size_bits
-            lost = self.loss.is_lost()
-            tr = self.env._trace
+    def _on_serviced(self, timer: Event) -> None:
+        packet = timer._value
+        self.packets_sent += 1
+        self.bits_sent += packet.size_bits
+        lost = self.loss.is_lost()
+        tr = self.env._trace
+        if tr is not None and tr.packet:
+            tr.emit(
+                _PACKET,
+                "packet_sent",
+                self.env.now,
+                kind=packet.kind,
+                key=packet.key,
+                seq=packet.seq,
+                size_bits=packet.size_bits,
+                lost=lost,
+                chan=self.chan,
+            )
+        self._complete(packet, lost)
+        if lost:
+            self.packets_dropped += 1
             if tr is not None and tr.packet:
                 tr.emit(
                     _PACKET,
-                    "packet_sent",
+                    "packet_lost",
                     self.env.now,
                     kind=packet.kind,
                     key=packet.key,
                     seq=packet.seq,
-                    size_bits=packet.size_bits,
-                    lost=lost,
                     chan=self.chan,
                 )
-            for hook in self._serviced_hooks:
-                hook(packet, lost)
-            completion = self._completions.pop(packet.uid, None)
-            if completion is not None:
-                completion.succeed(lost)
-            if lost:
-                self.packets_dropped += 1
-                if tr is not None and tr.packet:
-                    tr.emit(
-                        _PACKET,
-                        "packet_lost",
-                        self.env.now,
-                        kind=packet.kind,
-                        key=packet.key,
-                        seq=packet.seq,
-                        chan=self.chan,
-                    )
-                continue
+        else:
             self.packets_delivered += 1
             if self.delay > 0:
                 self.env.process(self._deliver_after(packet))
             else:
                 self._deliver(packet)
+        self._next()
 
     def _deliver_after(self, packet: Packet):
         yield self.env.timeout(self.delay)
@@ -217,13 +267,14 @@ class _FanoutRegistry:
     __slots__ = ("rows", "template", "pass_template")
 
 
-class MulticastChannel:
+class MulticastChannel(_FifoServer):
     """One sender queue, many receivers with independent loss.
 
     The sender serializes each announcement once (multicast: one
     transmission serves the whole group); each receiver then loses it
     independently according to its own loss model — the standard model
-    for announce/listen sessions like SAP/sdr.
+    for announce/listen sessions like SAP/sdr.  A :meth:`transmit`
+    completion's value is the per-receiver loss outcome dict.
     """
 
     def __init__(
@@ -233,38 +284,27 @@ class MulticastChannel:
         delay: float = 0.0,
         shared_loss: LossModel | None = None,
     ) -> None:
-        if rate_kbps <= 0:
-            raise ValueError(f"rate_kbps must be positive, got {rate_kbps}")
-        self.env = env
-        self.rate_kbps = rate_kbps
+        super().__init__(env, rate_kbps)
         self.delay = delay
-        #: Per-cell label for this channel's trace rows (never fed back
-        #: into the simulation).
-        self.chan = _obs.next_trace_label("c")
         #: Loss on the shared upstream path: one decision per packet
         #: affecting the whole group (correlated loss), applied before
         #: each receiver's independent last-hop loss.
         self.shared_loss = shared_loss if shared_loss is not None else NoLoss()
-        self._queue: Store = Store(env)
         self._receivers: Dict[Any, tuple[LossModel, Callable[[Packet], None]]] = {}
         self._blocked: set[Any] = set()
-        self._serviced_hooks: list[Callable[[Packet, Dict[Any, bool]], None]] = []
-        self._completions: Dict[int, Any] = {}
         self._registry: Optional[_FanoutRegistry] = None
         #: Per-receiver announcement exposure counts, folded lazily: the
-        #: pump bumps one epoch counter per packet and membership
+        #: service bumps one epoch counter per packet and membership
         #: changes / loss-rate queries credit the epoch to every current
         #: member, so exposure tracking is O(1) per packet.
         self._exposures: Dict[Any, int] = {}
         self._epoch_packets = 0
-        self.packets_sent = 0
         #: Delivery counts are folded just as lazily: the fan-out loop
         #: appends surviving receiver ids to ``_delivery_hits`` and the
         #: ``delivered_per_receiver`` property folds them through one
         #: C-level ``Counter`` pass on read.
         self._delivered: Dict[Any, int] = {}
         self._delivery_hits: list = []
-        env.process(self._pump())
 
     def join(
         self,
@@ -324,43 +364,6 @@ class MulticastChannel:
         """
         self._registry = None
 
-    def on_serviced(
-        self, hook: Callable[[Packet, Dict[Any, bool]], None]
-    ) -> None:
-        """Register ``hook(packet, {receiver: lost})`` after every service."""
-        self._serviced_hooks.append(hook)
-
-    def send(self, packet: Packet) -> None:
-        packet.created_at = self.env.now
-        tr = self.env._trace
-        if tr is not None and tr.packet:
-            tr.emit(
-                _PACKET,
-                "packet_enqueued",
-                self.env.now,
-                kind=packet.kind,
-                key=packet.key,
-                seq=packet.seq,
-                size_bits=packet.size_bits,
-                backlog=len(self._queue),
-                chan=self.chan,
-            )
-        self._queue.put(packet)
-
-    def transmit(self, packet: Packet):
-        """Enqueue and return an event firing after service (pull mode).
-
-        The event's value is the per-receiver loss outcome dict.
-        """
-        done = self.env.event()
-        self._completions[packet.uid] = done
-        self.send(packet)
-        return done
-
-    @property
-    def backlog(self) -> int:
-        return len(self._queue)
-
     # -- observed loss ------------------------------------------------------
     def _fold_exposures(self) -> None:
         """Credit the current epoch's packets to every current member."""
@@ -418,35 +421,28 @@ class MulticastChannel:
         }
 
     # -- internals ----------------------------------------------------------
-    def _pump(self):
-        while True:
-            packet = yield self._queue.get()
-            yield self.env.timeout(
-                packet.size_bits / (self.rate_kbps * 1000.0)
+    def _on_serviced(self, timer: Event) -> None:
+        packet = timer._value
+        self.packets_sent += 1
+        self._epoch_packets += 1
+        tr = self.env._trace
+        trace_packets = tr is not None and tr.packet
+        outcomes = self._fanout(packet, tr if trace_packets else None)
+        if trace_packets:
+            tr.emit(
+                _PACKET,
+                "packet_sent",
+                self.env.now,
+                kind=packet.kind,
+                key=packet.key,
+                seq=packet.seq,
+                size_bits=packet.size_bits,
+                receivers=len(outcomes),
+                lost=sum(1 for v in outcomes.values() if v),
+                chan=self.chan,
             )
-            self.packets_sent += 1
-            self._epoch_packets += 1
-            tr = self.env._trace
-            trace_packets = tr is not None and tr.packet
-            outcomes = self._fanout(packet, tr if trace_packets else None)
-            if trace_packets:
-                tr.emit(
-                    _PACKET,
-                    "packet_sent",
-                    self.env.now,
-                    kind=packet.kind,
-                    key=packet.key,
-                    seq=packet.seq,
-                    size_bits=packet.size_bits,
-                    receivers=len(outcomes),
-                    lost=sum(1 for v in outcomes.values() if v),
-                    chan=self.chan,
-                )
-            for hook in self._serviced_hooks:
-                hook(packet, outcomes)
-            completion = self._completions.pop(packet.uid, None)
-            if completion is not None:
-                completion.succeed(outcomes)
+        self._complete(packet, outcomes)
+        self._next()
 
     def _fanout(self, packet: Packet, tr) -> Dict[Any, bool]:
         """Draw every receiver's loss and deliver to the survivors.

@@ -12,9 +12,10 @@ Three cooperating pieces, all zero-cost when unused:
 
 * :mod:`repro.obs.metrics` — a :class:`Registry` of labeled
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments.
-  The protocol ladder and SSTP publish into the ambient registry; the
-  classic views (``BandwidthLedger``, ``LatencyRecorder``,
-  ``RecoveryTracker``) are thin readers over it.
+  The protocol ladder and SSTP publish into the ambient registry: the
+  classic meters (``BandwidthLedger``, ``LatencyRecorder``,
+  ``RecoveryTracker``) keep plain numbers and register collectors that
+  every registry read folds in.
 
 * :mod:`repro.obs.telemetry` — the parallel runner tags every cell
   with wall time, kernel event count, events/sec, RNG substream ids,

@@ -17,6 +17,13 @@ deterministically ordered :meth:`Registry.snapshot`, and can
 experiment runner merges per-cell snapshots in cell order, which makes
 the merged result identical for any ``--jobs`` value.
 
+Hot meters do not call in here per event.  They keep plain numbers and
+register a **collector** (:meth:`Registry.collector`): every read
+through the registry (:meth:`Registry.get`, :meth:`Registry.snapshot`)
+first asks each collector to fold what it gathered since the last read
+into its series, through label keys validated once by
+:meth:`_Instrument.bind`.
+
 All of this is pure accounting: no instrument touches an RNG, the
 simulation clock, or scheduling state, so instrumented runs produce
 byte-identical simulation results.
@@ -24,7 +31,10 @@ byte-identical simulation results.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import (
+    Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+)
 
 __all__ = ["Counter", "Gauge", "Histogram", "Registry"]
 
@@ -55,6 +65,10 @@ class _Instrument:
             )
         return tuple(str(labels[name]) for name in self.label_names)
 
+    def bind(self, **labels: Any) -> Tuple[str, ...]:
+        """Validate a label set once; the key for the ``*_bound`` writes."""
+        return self._key(labels)
+
     @property
     def cardinality(self) -> int:
         """Number of distinct label-value series in this instrument."""
@@ -82,7 +96,10 @@ class Counter(_Instrument):
             raise ValueError(
                 f"counter {self.name} cannot decrease (inc by {amount})"
             )
-        key = self._key(labels)
+        self.inc_bound(self._key(labels), amount)
+
+    def inc_bound(self, key: Tuple[str, ...], amount: float) -> None:
+        """Add a non-negative ``amount`` to the series of a bound key."""
         self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: Any) -> float:
@@ -135,7 +152,16 @@ class Histogram(_Instrument):
         self.buckets = edges
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = self._key(labels)
+        self.observe_bound(self._key(labels), (value,))
+
+    def observe_bound(
+        self, key: Tuple[str, ...], values: Sequence[float]
+    ) -> None:
+        """Observe ``values``, in order, into the series of a bound key.
+
+        The sum adds one value at a time, so folding a batch gives the
+        same float as observing each value as it happened.
+        """
         series = self._series.get(key)
         if series is None:
             series = {
@@ -144,15 +170,17 @@ class Histogram(_Instrument):
                 "buckets": [0] * (len(self.buckets) + 1),
             }
             self._series[key] = series
-        series["count"] += 1
-        series["sum"] += value
-        series["buckets"][self._bucket_index(value)] += 1
-
-    def _bucket_index(self, value: float) -> int:
-        for i, edge in enumerate(self.buckets):
-            if value <= edge:
-                return i
-        return len(self.buckets)
+        edges = self.buckets
+        overflow = len(edges)
+        buckets = series["buckets"]
+        total = series["sum"]
+        for value in values:
+            total += value
+            # The first edge >= value; NaN compares false, so overflows.
+            index = bisect_left(edges, value) if value == value else overflow
+            buckets[index] += 1
+        series["sum"] = total
+        series["count"] += len(values)
 
     def count(self, **labels: Any) -> int:
         series = self._series.get(self._key(labels))
@@ -180,6 +208,25 @@ class Registry:
 
     def __init__(self) -> None:
         self._instruments: Dict[str, _Instrument] = {}
+        self._collectors: Dict[Hashable, Any] = {}
+
+    def collector(self, key: Hashable, make: Callable[[], Any]) -> Any:
+        """The collector registered under ``key``, made on first use.
+
+        A collector is any object with a ``collect()`` method that folds
+        what it gathered since its last call into its bound series.
+        Meters on one label set pass the same ``key`` and so share one
+        collector: their numbers add up in the order events happened.
+        """
+        found = self._collectors.get(key)
+        if found is None:
+            found = self._collectors[key] = make()
+        return found
+
+    def collect(self) -> None:
+        """Fold every collector into its series (reads call this)."""
+        for collector in self._collectors.values():
+            collector.collect()
 
     # -- registration -------------------------------------------------------
     def counter(
@@ -225,6 +272,7 @@ class Registry:
 
     # -- access -------------------------------------------------------------
     def get(self, name: str) -> Optional[_Instrument]:
+        self.collect()
         return self._instruments.get(name)
 
     def __contains__(self, name: str) -> bool:
@@ -239,6 +287,7 @@ class Registry:
     # -- lifecycle ----------------------------------------------------------
     def reset(self) -> None:
         """Zero every instrument (definitions survive, series do not)."""
+        self.collect()
         for instrument in self._instruments.values():
             instrument.reset()
 
@@ -251,6 +300,7 @@ class Registry:
         snapshot taken right after :meth:`reset` round-trips to the
         same set of definitions.
         """
+        self.collect()
         out: Dict[str, Any] = {}
         for name in sorted(self._instruments):
             instrument = self._instruments[name]

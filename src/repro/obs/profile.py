@@ -5,8 +5,10 @@ answers *where the wall clock went*.  Two attribution axes:
 
 * **per DES process** — :class:`Profiler` rides the kernel's event
   loop (``Environment._run_instrumented``) and attributes callback wall
-  time to the generator name of the process an event resumed (or the
-  event type, for bare callbacks);
+  time to the generator name of the process an event resumed.  A bare
+  bound-method callback is keyed ``<owner type>.<method name>`` — the
+  channel's service timer shows up as ``Channel._on_serviced`` — and
+  any other callback by the event type;
 * **per trace category** — :class:`ProfilingSink` wraps any sink and
   times each ``write`` under the record's category, so a traced run
   shows what the JSONL/ring persistence itself costs.

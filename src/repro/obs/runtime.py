@@ -3,8 +3,8 @@ metric registry, and the per-cell accounting context.
 
 Every layer of the system reaches observability the same way: it reads
 one module-level slot at *construction* time (an :class:`Environment`
-caches the current tracer, a :class:`BandwidthLedger` binds instruments
-from the current registry) and then uses plain guarded attributes on
+caches the current tracer, a :class:`BandwidthLedger` binds a collector
+in the current registry) and then uses plain guarded attributes on
 the hot path.  Nothing here is imported conditionally and nothing costs
 more than a ``None`` check when observability is off.
 

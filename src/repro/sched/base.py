@@ -5,12 +5,32 @@ Items are enqueued into a class; ``dequeue()`` returns the next
 ``(class_name, item)`` pair according to the discipline, or ``None``
 when everything is empty.  Weights express the proportional share each
 class should receive when it is continuously backlogged.
+
+Queued entries are ``(item, size, tag)`` tuples; ``tag`` is the
+discipline's per-entry stamp (see :meth:`Scheduler._tag`).  Each class
+counts its queued occurrences per item, so :meth:`Scheduler.remove` is
+a lookup, not a scan: it moves one occurrence to the class's *dropped*
+count, and the entry is discarded when it reaches the head.  Removal
+takes the first queued occurrence, so an item's dropped entries are
+always its oldest ones: a head whose item has a dropped count is dead.
+Dead heads are popped eagerly, so a class queue is empty exactly when
+it holds no live entry, and its head is always live.  Items must
+therefore be hashable.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, Optional, Tuple
+
+
+def _take(counts: Dict[Any, int], item: Any) -> None:
+    """Decrement ``counts[item]``, dropping the key at zero."""
+    n = counts[item]
+    if n == 1:
+        del counts[item]
+    else:
+        counts[item] = n - 1
 
 
 class SchedulerError(Exception):
@@ -21,7 +41,13 @@ class Scheduler:
     """Base class holding per-class FIFO queues and weights."""
 
     def __init__(self) -> None:
-        self._queues: Dict[str, Deque[Tuple[Any, float]]] = {}
+        self._queues: Dict[str, Deque[Tuple[Any, float, Any]]] = {}
+        #: Per class: item -> live queued occurrences.
+        self._queued: Dict[str, Dict[Any, int]] = {}
+        #: Per class: item -> removed occurrences still in the deque.
+        self._dropped: Dict[str, Dict[Any, int]] = {}
+        #: Per class: number of live entries.
+        self._live: Dict[str, int] = {}
         self._weights: Dict[str, float] = {}
         self.served: Dict[str, int] = {}
         self.served_size: Dict[str, float] = {}
@@ -34,6 +60,9 @@ class Scheduler:
         if weight <= 0:
             raise SchedulerError(f"weight must be positive, got {weight}")
         self._queues[name] = deque()
+        self._queued[name] = {}
+        self._dropped[name] = {}
+        self._live[name] = 0
         self._weights[name] = float(weight)
         self.served[name] = 0
         self.served_size[name] = 0.0
@@ -61,7 +90,10 @@ class Scheduler:
         self._require(name)
         if size <= 0:
             raise SchedulerError(f"size must be positive, got {size}")
-        self._queues[name].append((item, size))
+        self._queues[name].append((item, size, self._tag(name, size)))
+        queued = self._queued[name]
+        queued[item] = queued.get(item, 0) + 1
+        self._live[name] += 1
         self._on_enqueue(name, item, size)
 
     def dequeue(self) -> Optional[Tuple[str, Any]]:
@@ -69,7 +101,11 @@ class Scheduler:
         name = self._select()
         if name is None:
             return None
-        item, size = self._queues[name].popleft()
+        item, size, _ = self._queues[name].popleft()  # heads are live
+        _take(self._queued[name], item)
+        self._live[name] -= 1
+        if self._dropped[name]:
+            self._drop_dead_heads(name)
         self.served[name] += 1
         self.served_size[name] += size
         self._on_dequeue(name, item, size)
@@ -77,20 +113,31 @@ class Scheduler:
 
     def backlog(self, name: str) -> int:
         self._require(name)
-        return len(self._queues[name])
+        return self._live[name]
 
     def remove(self, name: str, item: Any) -> bool:
-        """Remove a specific queued item (e.g. a record that just died)."""
+        """Remove the first queued occurrence of ``item`` in class ``name``
+        (e.g. a record that just died); False if none is queued."""
         self._require(name)
+        queued = self._queued[name]
+        if item not in queued:
+            return False
+        _take(queued, item)
+        dropped = self._dropped[name]
+        dropped[item] = dropped.get(item, 0) + 1
+        self._live[name] -= 1
+        self._drop_dead_heads(name)
+        return True
+
+    def _drop_dead_heads(self, name: str) -> None:
+        """Discard removed entries that reached the head of ``name``."""
         queue = self._queues[name]
-        for entry in queue:
-            if entry[0] is item or entry[0] == item:
-                queue.remove(entry)
-                return True
-        return False
+        dropped = self._dropped[name]
+        while queue and queue[0][0] in dropped:
+            _take(dropped, queue.popleft()[0])
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return sum(self._live.values())
 
     def __contains__(self, name: str) -> bool:
         return name in self._queues
@@ -99,6 +146,10 @@ class Scheduler:
     def _select(self) -> Optional[str]:
         """Return the class to serve next, or None.  Must be overridden."""
         raise NotImplementedError
+
+    def _tag(self, name: str, size: float) -> Any:
+        """The per-entry stamp for an enqueue (arrival order, finish tag)."""
+        return None
 
     def _on_class_added(self, name: str) -> None:
         """Discipline-specific per-class state initialisation."""

@@ -23,33 +23,18 @@ class FifoScheduler(Scheduler):
     def __init__(self) -> None:
         super().__init__()
         self._arrival = itertools.count()
-        self._stamps: dict[int, int] = {}
 
     def enqueue(self, name: str = DEFAULT_CLASS, item: Any = None, size: float = 1.0) -> None:
         if name not in self._queues:
             self.add_class(name)
-        super().enqueue(name, (next(self._arrival), item), size)
+        super().enqueue(name, item, size)
 
-    def dequeue(self) -> Optional[tuple[str, Any]]:
-        result = super().dequeue()
-        if result is None:
-            return None
-        name, (_, item) = result
-        return name, item
+    def _tag(self, name: str, size: float) -> int:
+        return next(self._arrival)
 
     def _select(self) -> Optional[str]:
         backlogged = self._backlogged()
         if not backlogged:
             return None
         # Head with the smallest arrival stamp wins.
-        return min(backlogged, key=lambda n: self._queues[n][0][0][0])
-
-    def remove(self, name: str, item: Any) -> bool:
-        self._require(name)
-        queue = self._queues[name]
-        for entry in queue:
-            (_, queued_item), _ = entry
-            if queued_item is item or queued_item == item:
-                queue.remove(entry)
-                return True
-        return False
+        return min(backlogged, key=lambda n: self._queues[n][0][2])

@@ -10,7 +10,7 @@ bandwidth sharing between the hot and cold announcement queues.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro.sched.base import Scheduler
 
@@ -26,34 +26,18 @@ class WfqScheduler(Scheduler):
     def _on_class_added(self, name: str) -> None:
         self._last_finish[name] = 0.0
 
-    def enqueue(self, name: str, item: Any, size: float = 1.0) -> None:
-        self._require(name)
+    def _tag(self, name: str, size: float) -> float:
         start = max(self._virtual_time, self._last_finish[name])
         finish = start + size / self._weights[name]
         self._last_finish[name] = finish
-        super().enqueue(name, (finish, item), size)
-
-    def dequeue(self) -> Optional[tuple[str, Any]]:
-        result = super().dequeue()
-        if result is None:
-            return None
-        name, (finish, item) = result
-        self._virtual_time = max(self._virtual_time, finish)
-        return name, item
+        return finish
 
     def _select(self) -> Optional[str]:
         backlogged = self._backlogged()
         if not backlogged:
             return None
         # Compare the finish tag of each class's head-of-line item.
-        return min(backlogged, key=lambda n: (self._queues[n][0][0][0], n))
-
-    def remove(self, name: str, item: Any) -> bool:
-        self._require(name)
-        queue = self._queues[name]
-        for entry in queue:
-            (_, queued_item), _ = entry
-            if queued_item is item or queued_item == item:
-                queue.remove(entry)
-                return True
-        return False
+        name = min(backlogged, key=lambda n: (self._queues[n][0][2], n))
+        # That head is served next: virtual time advances to its tag.
+        self._virtual_time = max(self._virtual_time, self._queues[name][0][2])
+        return name

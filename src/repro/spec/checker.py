@@ -26,8 +26,10 @@ from repro.obs.trace import SPEC as _SPEC
 from repro.obs.trace import Tracer
 from repro.spec.invariants import (
     DEFAULT_INVARIANTS,
+    DeliveryConservation,
     Invariant,
     MonotoneClock,
+    MonotoneTransferIds,
     Violation,
 )
 
@@ -168,14 +170,28 @@ class ShadowChecker:
 
         The first :class:`MonotoneClock` is not routed at all: the
         driver's inline clock check calls :attr:`on_backwards` instead,
-        so checking every record costs no per-record call.
+        so checking every record costs no per-record call.  Likewise
+        the first :class:`MonotoneTransferIds` rides the first
+        :class:`DeliveryConservation`, which already keeps each
+        channel's last serviced id: one handler per ``packet_sent``.
         """
         self._active: List[Invariant] = [
             factory() for factory in self._factories
         ]
         routes: Dict[str, List[Callable[..., None]]] = {}
         self.on_backwards: Optional[Callable[..., None]] = None
+        conservation = next(
+            (i for i in self._active if type(i) is DeliveryConservation),
+            None,
+        )
         for invariant in self._active:
+            if (
+                type(invariant) is MonotoneTransferIds
+                and conservation is not None
+                and conservation.regressed is None
+            ):
+                conservation.regressed = invariant.regressed
+                continue
             if invariant.interests == ALL_EVENTS:
                 if (
                     type(invariant) is MonotoneClock

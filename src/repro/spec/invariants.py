@@ -36,7 +36,7 @@ in ``docs/SPEC.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.fold import ALL_EVENTS
 
@@ -174,12 +174,18 @@ class MonotoneTransferIds(Invariant):
         last_seq = self._last_seq
         last = last_seq.get(chan)
         if last is not None and seq <= last:
-            self._violate(
-                index, t, cat, ev, fields,
-                f"transfer id {seq} on {chan} not greater than "
-                f"previously serviced {last}",
-            )
+            self.regressed(index, t, cat, ev, fields, last)
         last_seq[chan] = seq
+
+    def regressed(self, index, t, cat, ev, fields, last) -> None:
+        """The violation.  When :class:`DeliveryConservation` runs in the
+        same checker, its ``packet_sent`` handler keeps the per-channel
+        last id and calls this instead of :meth:`feed`."""
+        self._violate(
+            index, t, cat, ev, fields,
+            f"transfer id {fields['seq']} on {fields['chan']} not greater "
+            f"than previously serviced {last}",
+        )
 
 
 class DeliveryConservation(Invariant):
@@ -208,6 +214,9 @@ class DeliveryConservation(Invariant):
         #: reconciled when (if ever) the send arrives.
         self._orphans: Dict[Tuple[Any, Any], List[Tuple]] = {}
         self._last_sent: Dict[Any, int] = {}
+        #: ``MonotoneTransferIds.regressed`` when the checker folds that
+        #: invariant in here, else None.
+        self.regressed: Optional[Callable[..., None]] = None
 
     def feed(self, index, t, cat, ev, fields) -> None:
         seq = fields.get("seq")
@@ -225,7 +234,11 @@ class DeliveryConservation(Invariant):
             else:  # unicast service: lost is a bool
                 budget = 0 if fields.get("lost") else 1
                 served = None
-            self._last_sent[chan] = seq
+            last_sent = self._last_sent
+            last = last_sent.get(chan)
+            if last is not None and seq <= last and self.regressed:
+                self.regressed(index, t, cat, ev, fields, last)
+            last_sent[chan] = seq
             orphans = self._orphans.pop(key, None)
             if orphans is not None:
                 # Reconcile the fan-out deliveries that preceded this

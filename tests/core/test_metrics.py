@@ -1,10 +1,12 @@
-"""Unit tests for latency recording and bandwidth accounting."""
+"""Unit tests for latency recording, bandwidth accounting, and how the
+meters publish into the metric registry."""
 
 import math
 
 import pytest
 
 from repro.core import BandwidthLedger, LatencyRecorder
+from repro.obs import runtime as _obs
 
 
 def test_latency_first_receipt_only():
@@ -112,3 +114,90 @@ def test_ledger_as_dict_snapshot():
     assert snapshot["summary"] == 2000
     snapshot["summary"] = 0  # must not alias internal state
     assert ledger.bits("summary") == 2000
+
+
+# -- registry collectors ------------------------------------------------------
+
+
+def test_mid_run_registry_read_sees_current_counts():
+    from repro.protocols import OpenLoopSession
+
+    reg = _obs.push_registry()
+    try:
+        session = OpenLoopSession(
+            data_kbps=50.0, loss_rate=0.2, update_rate=1.0, seed=3
+        )
+        seen = []
+
+        def probe(env):
+            for _ in range(3):
+                yield env.timeout(20.0)
+                received = reg.get("repro_latency_received_total").total()
+                bits = reg.get("repro_bandwidth_bits_total").total()
+                seen.append((received, bits))
+                assert received == session.latency.count
+                assert bits == sum(session.ledger.as_dict().values())
+
+        session.env.process(probe(session.env))
+        session.run(70.0)
+    finally:
+        _obs.pop_registry()
+    assert len(seen) == 3
+    assert 0 < seen[0][0] < seen[1][0] < seen[2][0]
+    assert 0 < seen[0][1] < seen[1][1] < seen[2][1]
+
+
+def test_meters_sharing_a_label_set_add_up_in_receipt_order():
+    reg = _obs.push_registry()
+    try:
+        first = LatencyRecorder(session="s0", protocol="p")
+        second = LatencyRecorder(session="s0", protocol="p")
+        # Latencies whose float sum depends on the order of addition.
+        receipts = [
+            (first, 1e16), (second, 1.0), (first, 1.0), (second, -1e16),
+            (first, 0.1), (second, 0.2), (first, 0.3),
+        ]
+        for index, (recorder, latency) in enumerate(receipts):
+            recorder.introduced(index, 0, now=0.0)
+            recorder.received(index, 0, now=latency)
+        in_receipt_order = 0.0
+        for _, latency in receipts:
+            in_receipt_order += latency
+        per_meter = sum(first._latencies) + sum(second._latencies)
+        assert per_meter != in_receipt_order  # the check is not vacuous
+
+        histogram = reg.get("repro_receive_latency_seconds")
+        (series,) = reg.snapshot()["repro_receive_latency_seconds"]["series"]
+        assert series["labels"] == ["s0", "p"]
+        assert series["value"]["sum"] == in_receipt_order
+        assert series["value"]["count"] == len(receipts)
+        assert sum(series["value"]["buckets"]) == len(receipts)
+        assert histogram.count(session="s0", protocol="p") == len(receipts)
+        received = reg.get("repro_latency_received_total")
+        assert received.value(session="s0", protocol="p") == len(receipts)
+
+        ledgers = [BandwidthLedger("s0", "p"), BandwidthLedger("s0", "p")]
+        ledgers[0].add("new", 1000)
+        ledgers[1].add("new", 24, packets=2)
+        ledgers[0].add("redundant", 8)
+        bits = reg.get("repro_bandwidth_bits_total")
+        packets = reg.get("repro_bandwidth_packets_total")
+        assert bits.value(session="s0", protocol="p", category="new") == 1024
+        assert packets.value(session="s0", protocol="p", category="new") == 3
+        assert bits.value(
+            session="s0", protocol="p", category="redundant"
+        ) == 8
+    finally:
+        _obs.pop_registry()
+
+
+def test_histogram_buckets_by_bisect_with_inclusive_upper_edges():
+    reg = _obs.push_registry()
+    try:
+        histogram = reg.histogram("h_seconds", "", (), buckets=(1.0, 2.0))
+        for value in (0.5, 1.0, 1.5, 2.0, 3.0, float("nan")):
+            histogram.observe(value)
+        (series,) = reg.snapshot()["h_seconds"]["series"]
+        assert series["value"]["buckets"] == [2, 2, 2]
+    finally:
+        _obs.pop_registry()

@@ -5,8 +5,10 @@ Two guarantees are pinned here:
 (a) the parallel experiment runner merges cell results in submission
     order, so ``run_experiment(id, quick=True, seed=0)`` produces
     *identical rows* with ``jobs=1`` and ``jobs=4`` for every registered
-    experiment, and that render matches its seed-0 golden digest in
-    ``benchsuite/golden.json``;
+    experiment, that render matches its seed-0 golden digest in
+    ``benchsuite/golden.json``, and the merged metric block
+    (``telemetry["registry"]``) matches its digest in
+    ``registry_digests.json`` next to this file;
 
 (b) the kernel's fast path (``__slots__``, inlined scheduling, the
     no-``Initialize`` process start) preserves the event loop's
@@ -27,12 +29,19 @@ from repro.experiments import EXPERIMENTS, run_experiment
 # -- (a) parallel rows == sequential rows == golden render --------------------
 
 GOLDEN_JSON = Path(__file__).resolve().parents[2] / "benchsuite" / "golden.json"
+REGISTRY_JSON = Path(__file__).resolve().parent / "registry_digests.json"
 
 
 def _golden_render_digest(experiment_id):
     """The committed SHA-256 of ``experiment_id``'s seed-0 quick render."""
     with open(GOLDEN_JSON, encoding="utf-8") as handle:
         return json.load(handle)["experiments"][experiment_id][0]
+
+
+def _registry_digest(result):
+    """SHA-256 of a result's merged metric block, canonically encoded."""
+    block = json.dumps(result.telemetry["registry"], sort_keys=True)
+    return hashlib.sha256(block.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
@@ -47,6 +56,12 @@ def test_parallel_rows_match_sequential(experiment_id):
     assert hashlib.sha256(render).hexdigest() == _golden_render_digest(
         experiment_id
     ), f"{experiment_id} render diverged from its golden digest"
+    assert parallel.telemetry["registry"] == sequential.telemetry["registry"]
+    with open(REGISTRY_JSON, encoding="utf-8") as handle:
+        expected = json.load(handle)["experiments"][experiment_id]
+    assert _registry_digest(sequential) == expected, (
+        f"{experiment_id} metric block diverged from its recorded digest"
+    )
 
 
 # -- (b) seeded kernel trace is pinned -----------------------------------------

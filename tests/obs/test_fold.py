@@ -48,7 +48,7 @@ def test_one_pass_three_inputs_same_reports(tmp_path):
             loss_rate=0.2,
             update_rate=1.0,
             seed=3,
-        ).run(60.0)
+        ).run(90.0)
     tracer.close()
     check, spans = live.finish()
     records = ring.records()

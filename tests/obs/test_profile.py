@@ -1,6 +1,7 @@
 """Wall-time profiler: sampling, attribution, determinism, merging."""
 
 from repro.des import Environment
+from repro.net import Channel, Packet
 from repro.obs import runtime as _obs
 from repro.obs.profile import Profiler, ProfilingSink, profile_enabled
 from repro.obs.trace import RingBufferSink
@@ -42,6 +43,22 @@ def test_attribution_keys_are_generator_names():
     assert "ponger" in profiler.processes
     calls, wall = profiler.processes["pinger"]
     assert calls > 0 and wall >= 0.0
+
+
+def test_bare_callbacks_keyed_by_owner_type_and_method():
+    # Channel service runs as kernel callbacks, not a process: its time
+    # must still land under a name that says where it went.
+    profiler = Profiler(sample_every=1)
+    with _obs.profiling(profiler):
+        env = Environment()
+        channel = Channel(env, rate_kbps=8.0)
+        for _ in range(5):
+            channel.send(Packet())
+        env.run()
+    assert profiler.processes["Channel._on_serviced"][0] == 5
+    assert profiler.processes["Channel._start"][0] == 5
+    assert "Timeout" not in profiler.processes
+    assert "Event" not in profiler.processes
 
 
 def test_sampling_reduces_accounted_calls():

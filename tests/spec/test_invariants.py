@@ -66,6 +66,32 @@ def test_transfer_ids_strictly_increase_per_channel():
     assert "not greater" in violations[0].message
 
 
+def test_transfer_ids_checked_through_conservation_in_the_checker():
+    # The checker folds the transfer-id check into DeliveryConservation's
+    # packet_sent handler; the verdict must not change.
+    rows = [
+        (0.0, "packet", "packet_sent", {"chan": "c0", "seq": 3, "lost": True}),
+        (1.0, "packet", "packet_sent", {"chan": "c1", "seq": 0, "lost": True}),
+        (2.0, "packet", "packet_sent", {"chan": "c0", "seq": 3, "lost": True}),
+    ]
+    checker = ShadowChecker()
+    assert "packet_sent" in checker.handlers
+    (report,) = replay(rows, checker)
+    (violation,) = report.violations
+    assert violation.invariant == MonotoneTransferIds.name
+    assert violation.index == 2
+    assert violation.message == (
+        "transfer id 3 on c0 not greater than previously serviced 3"
+    )
+    # Alone, either invariant keeps its own books.
+    (report,) = replay(rows, ShadowChecker([MonotoneTransferIds]))
+    assert [v.invariant for v in report.violations] == [
+        MonotoneTransferIds.name
+    ]
+    (report,) = replay(rows, ShadowChecker([DeliveryConservation]))
+    assert report.ok
+
+
 # -- delivery conservation -------------------------------------------------
 
 
