@@ -286,10 +286,10 @@ class MulticastChannel(_FifoServer):
     ) -> None:
         super().__init__(env, rate_kbps)
         self.delay = delay
-        #: Loss on the shared upstream path: one decision per packet
-        #: affecting the whole group (correlated loss), applied before
-        #: each receiver's independent last-hop loss.
-        self.shared_loss = shared_loss if shared_loss is not None else NoLoss()
+        #: Loss on the shared upstream path (``shared_loss``): one draw
+        #: per packet for the whole group, before each receiver's own
+        #: last-hop loss -- the slot ``Channel.loss`` is for unicast.
+        self.loss = shared_loss if shared_loss is not None else NoLoss()
         self._receivers: Dict[Any, tuple[LossModel, Callable[[Packet], None]]] = {}
         self._blocked: set[Any] = set()
         self._registry: Optional[_FanoutRegistry] = None
@@ -455,7 +455,7 @@ class MulticastChannel(_FifoServer):
         registry = self._registry
         if registry is None:
             registry = self._build_registry()
-        if self.shared_loss.is_lost():
+        if self.loss.is_lost():
             return registry.template.copy()
         outcomes = registry.pass_template.copy()
         record_hit = self._delivery_hits.append

@@ -75,9 +75,3 @@ class OpenLoopSession(BaseSession):
         self._ring.clear()
         self._queued.clear()
         self._tombstones.clear()
-
-    def _announce_interval_hint(self) -> Optional[float]:
-        # With L live records sharing mu packets/s, each record is
-        # announced about every L/mu seconds; use the steady-state
-        # estimate lam * lifetime for L when available.
-        return None

@@ -127,6 +127,11 @@ class SstpReceiver:
         #: no queries or reports can be transmitted.
         self.detached = False
 
+    def forget(self) -> None:
+        """A crash: the subscriber restarts with an empty mirror and
+        relearns the namespace from summaries."""
+        self.mirror = Namespace()
+
     # -- packet handling -----------------------------------------------------
     def deliver(self, packet: Packet) -> None:
         if packet.seq is not None:

@@ -44,6 +44,9 @@ class Workload:
         """
         raise NotImplementedError
 
+    def note_death(self, key: Any) -> None:
+        """The publisher lost ``key`` (death or crash); no-op by default."""
+
     def describe(self) -> str:
         """One-line human-readable summary."""
         return type(self).__name__
