@@ -62,8 +62,10 @@ __all__ = [
     "run_chaos",
 ]
 
-#: Session kinds under test (the protocol ladder plus SSTP).
-_SESSIONS = ("openloop", "twoqueue", "feedback", "sstp")
+#: Session kinds under test (the protocol ladder, the multicast group
+#: and SSTP); the last two have receiver groups.
+_SESSIONS = ("openloop", "twoqueue", "feedback", "multicast", "sstp")
+_GROUPS = ("multicast", "sstp")
 _HORIZONS = (60.0, 120.0)
 
 #: Exclusive claim groups, mirrored from ``repro.faults.schedule`` so
@@ -165,8 +167,9 @@ if HAVE_HYPOTHESIS:
             "seed": draw(st.integers(min_value=0, max_value=2**16 - 1)),
             "loss_rate": _bounded(draw, 0.0, 0.4),
         }
-        if session == "sstp":
+        if session in _GROUPS:
             scenario["n_receivers"] = draw(st.integers(min_value=1, max_value=4))
+        if session == "sstp":
             scenario["total_kbps"] = draw(st.sampled_from((32.0, 50.0)))
         else:
             scenario["update_rate"] = draw(st.sampled_from((0.5, 1.0, 2.0)))
@@ -214,7 +217,7 @@ def generate_scenarios(runs: int, seed: int) -> List[Dict[str, Any]]:
 
 
 def _receiver_ids(session: str, n_receivers: Optional[int]) -> List[str]:
-    if session == "sstp":
+    if session in _GROUPS:
         return [f"rcv-{index}" for index in range(n_receivers or 1)]
     return ["receiver"]
 
@@ -280,6 +283,7 @@ def _chaos_cell(
     """
     from repro.protocols import (
         FeedbackSession,
+        MulticastFeedbackSession,
         OpenLoopSession,
         TwoQueueSession,
     )
@@ -316,6 +320,10 @@ def _chaos_cell(
                 sim = TwoQueueSession(**kwargs)
             elif session == "feedback":
                 sim = FeedbackSession(feedback_kbps=8.0, **kwargs)
+            elif session == "multicast":
+                sim = MulticastFeedbackSession(
+                    n_receivers=n_receivers or 1, feedback_kbps=8.0, **kwargs
+                )
             else:
                 raise ValueError(f"unknown session kind {session!r}")
         sim.run(horizon)

@@ -67,6 +67,36 @@ def test_chaos_cell_runs_and_checks_a_faulted_scenario():
     assert verdict["events"] > 0
 
 
+def test_chaos_cell_runs_a_faulted_multicast_group():
+    # The group shares the fault surface: churn and a partition cut off
+    # members while a cold crash and a loss episode hit the sender side.
+    verdict = _chaos_cell(
+        session="multicast",
+        horizon=60.0,
+        seed=7,
+        loss_rate=0.2,
+        update_rate=1.0,
+        data_kbps=50.0,
+        n_receivers=3,
+        faults=(
+            ("crash", 10.0, 5.0, True),
+            ("loss", 18.0, 6.0, 0.5, 4.0),
+            ("churn", 0.1, 5.0, 5.0, 50.0),
+            ("partition", 30.0, 38.0),
+        ),
+    )
+    assert verdict["ok"], verdict["violations"]
+    assert verdict["events"] > 0
+
+
+def test_generation_covers_the_multicast_group():
+    scenarios = chaos_harness.generate_scenarios(runs=40, seed=5)
+    groups = [s for s in scenarios if s["session"] == "multicast"]
+    assert groups, "no multicast scenario in 40 draws"
+    assert all(1 <= s["n_receivers"] <= 4 for s in groups)
+    assert _receiver_ids("multicast", 2) == ["rcv-0", "rcv-1"]
+
+
 def test_run_chaos_report_is_byte_identical_across_jobs():
     first = chaos_harness.run_chaos(runs=4, seed=3, jobs=1)
     second = chaos_harness.run_chaos(runs=4, seed=3, jobs=2)
