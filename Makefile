@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-deep bench bench-json bench-cache bench-scale bench-lint overhead-check chaos spec-overhead-check report experiments experiments-quick examples clean
+.PHONY: install test lint bench bench-json bench-cache bench-scale bench-lint overhead-check chaos spec-overhead-check report experiments experiments-quick examples clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -11,17 +11,10 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Static determinism & simulation-safety analysis (docs/LINT.md).
-# Exit codes: 0 clean, 1 findings/baseline drift, 2 usage error.
+# Static determinism & simulation-safety analysis (docs/LINT.md): one
+# pass, every rule.  Exit codes: 0 clean, 1 findings, 2 usage error.
 lint:
-	PYTHONPATH=$(CURDIR)/src $(PYTHON) -m repro lint src benchmarks examples --baseline lint-baseline.json
-
-# Whole-program pass on top of the line-local rules: call-graph +
-# RNG-provenance (RPR101/102), same-time races (RPR103), cache purity
-# (RPR104).  This is the CI invocation; deep findings gate against the
-# "deep" section of lint-baseline.json.
-lint-deep:
-	PYTHONPATH=$(CURDIR)/src $(PYTHON) -m repro lint src benchmarks examples --deep --baseline lint-baseline.json
+	PYTHONPATH=$(CURDIR)/src $(PYTHON) -m repro lint src benchmarks examples
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -55,7 +48,7 @@ bench-scale:
 	$(PYTHON) benchmarks/bench_scale.py --assert-fluid-seconds 1 \
 		--assert-speedup 2 --assert-identical --out BENCH_scale.json
 
-# Lint-speed gate (docs/LINT.md): full shallow+deep pass over
+# Lint-speed gate (docs/LINT.md): the one lint pass over
 # src/benchmarks/examples from a cold parse cache, then again warm.
 # Asserts < 10s cold, < 2s warm, and zero re-parses on the warm pass;
 # emits BENCH_lint.json.

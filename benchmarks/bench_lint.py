@@ -1,11 +1,12 @@
-"""Assert the lint passes' wall-time budgets over the repo tree.
+"""Assert the lint pass's wall-time budgets over the repo tree.
 
-``repro lint --deep`` runs on every CI push, so its cost is part of
-the edit-test loop.  Two budgets keep it honest:
+``repro lint`` runs on every CI push, so its cost is part of the
+edit-test loop.  Two budgets keep it honest:
 
-* **cold** — a full shallow + deep pass over ``src``, ``benchmarks``
-  and ``examples`` starting from an empty parse cache (every file is
-  read, hashed, and parsed once);
+* **cold** — the one pass (per-file rules plus the whole-program
+  cache-purity rule) over ``src``, ``benchmarks`` and ``examples``
+  starting from an empty parse cache (every file is read, hashed, and
+  parsed once);
 * **warm** — the same pass again without clearing the cache.  The
   content-hash AST cache (``repro.lint.astcache``) must satisfy every
   load from memory: the warm pass performs *zero* re-parses, which
@@ -37,23 +38,17 @@ sys.path.insert(
 )
 
 from repro.lint import astcache  # noqa: E402
-from repro.lint.deep import deep_lint_paths  # noqa: E402
 from repro.lint.engine import lint_paths  # noqa: E402
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PATHS = [os.path.join(ROOT, name) for name in ("src", "benchmarks", "examples")]
 
 
-def _full_pass() -> int:
-    """One shallow + deep pass; returns the finding count."""
-    return len(lint_paths(PATHS)) + len(deep_lint_paths(PATHS))
-
-
 def _timed() -> float:
     # This benchmark's whole point is host wall time: it gates the
-    # lint passes' cost on the CI edit-test loop.
+    # lint pass's cost on the CI edit-test loop.
     start = time.perf_counter()  # repro-lint: disable=RPR002
-    _full_pass()
+    lint_paths(PATHS)
     return time.perf_counter() - start  # repro-lint: disable=RPR002
 
 

@@ -31,8 +31,6 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 __all__ = [
     "clear_fingerprint_cache",
     "code_fingerprint",
-    "imported_modules",
-    "imported_modules_from_tree",
     "module_closure",
 ]
 
@@ -73,18 +71,6 @@ def _imported_modules(
         tree = ast.parse(source)
     except SyntaxError:
         return
-    yield from imported_modules_from_tree(tree, module, is_package)
-
-
-def imported_modules_from_tree(
-    tree: ast.Module, module: str, is_package: bool
-) -> Iterator[str]:
-    """The import walk of :func:`imported_modules` over a parsed tree.
-
-    Split out so callers that already hold a tree (the deep lint pass,
-    which parses through a content-hash AST cache) reuse this exact
-    resolution logic without re-parsing.
-    """
     # The package that relative imports resolve against.
     package_parts = module.split(".") if is_package else module.split(".")[:-1]
     for node in ast.walk(tree):
@@ -103,13 +89,6 @@ def imported_modules_from_tree(
             for alias in node.names:
                 if prefix and alias.name != "*":
                     yield f"{prefix}.{alias.name}"
-
-
-#: Public name for the AST import walker.  The deep lint pass
-#: (``repro.lint.deep``) builds its module-dependency graph through this
-#: exact function so "what the cache fingerprints" and "what the
-#: analyzer considers program scope" can never drift apart.
-imported_modules = _imported_modules
 
 
 def module_closure(

@@ -24,8 +24,8 @@ Subcommands:
   (see docs/SPEC.md);
 * ``chaos``      — property-test the invariants under seeded random
   fault schedules (see docs/SPEC.md);
-* ``lint``       — static determinism & simulation-safety analysis
-  (see docs/LINT.md).
+* ``lint``       — static determinism checks: one pass over the given
+  paths, no options (see docs/LINT.md).
 
 Examples::
 
@@ -44,7 +44,7 @@ Examples::
     python -m repro check results/figure3/trace.jsonl
     python -m repro check --experiment figure3
     python -m repro chaos --runs 20 --seed 0 --jobs 4
-    python -m repro lint src benchmarks examples --baseline lint-baseline.json
+    python -m repro lint src benchmarks examples
 """
 
 from __future__ import annotations

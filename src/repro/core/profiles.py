@@ -6,8 +6,8 @@ and "an application can experience the maximum possible consistency ...
 by scheduling its available session bandwidth based on consistency
 profiles derived from our model".
 
-A profile is a table of (loss_rate, knob) -> consistency (optionally
-latency) points, where ``knob`` is whatever allocation fraction the
+A profile is a table of (loss_rate, knob) -> consistency (or latency)
+points, where ``knob`` is whatever allocation fraction the
 profile parameterizes (feedback share for Figure 9, hot share for
 Figures 5/10).  Prediction between grid points uses bilinear
 interpolation; :meth:`ConsistencyProfile.best_knob` returns the
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class ProfilePoint:
     loss_rate: float
     knob: float
     consistency: float
-    latency: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate <= 1.0:
@@ -40,111 +39,6 @@ class ProfilePoint:
             raise ValueError(
                 f"consistency must be in [0, 1], got {self.consistency}"
             )
-
-
-class ConsistencyProfile:
-    """An interpolated consistency surface over (loss rate, knob)."""
-
-    def __init__(self, name: str, knob_name: str = "allocation") -> None:
-        self.name = name
-        self.knob_name = knob_name
-        self._points: Dict[Tuple[float, float], ProfilePoint] = {}
-
-    def add(self, point: ProfilePoint) -> None:
-        """Add (or overwrite) a measured point."""
-        self._points[(point.loss_rate, point.knob)] = point
-
-    def add_many(self, points: Iterable[ProfilePoint]) -> None:
-        for point in points:
-            self.add(point)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    @property
-    def loss_rates(self) -> List[float]:
-        return sorted({loss for loss, _ in self._points})
-
-    def knobs(self, loss_rate: float) -> List[float]:
-        return sorted(
-            {knob for loss, knob in self._points if loss == loss_rate}
-        )
-
-    # -- prediction ----------------------------------------------------------
-    def predict(self, loss_rate: float, knob: float) -> float:
-        """Interpolated consistency at an arbitrary operating point."""
-        if not self._points:
-            raise ValueError(f"profile {self.name!r} is empty")
-        lows = self.loss_rates
-        lo, hi = _bracket(lows, loss_rate)
-        value_lo = self._predict_at_loss(lo, knob)
-        if lo == hi:
-            return value_lo
-        value_hi = self._predict_at_loss(hi, knob)
-        weight = (loss_rate - lo) / (hi - lo)
-        return value_lo * (1.0 - weight) + value_hi * weight
-
-    def _predict_at_loss(self, loss_rate: float, knob: float) -> float:
-        knobs = self.knobs(loss_rate)
-        lo, hi = _bracket(knobs, knob)
-        c_lo = self._points[(loss_rate, lo)].consistency
-        if lo == hi:
-            return c_lo
-        c_hi = self._points[(loss_rate, hi)].consistency
-        weight = (knob - lo) / (hi - lo)
-        return c_lo * (1.0 - weight) + c_hi * weight
-
-    def best_knob(self, loss_rate: float) -> Tuple[float, float]:
-        """(knob, predicted consistency) maximizing consistency at this loss.
-
-        Searches the union of measured knob values (the surface is
-        piecewise linear in the knob, so the optimum lies on a grid
-        point of the interpolant).
-        """
-        if not self._points:
-            raise ValueError(f"profile {self.name!r} is empty")
-        candidates = sorted({knob for _, knob in self._points})
-        best = max(
-            candidates, key=lambda knob: self.predict(loss_rate, knob)
-        )
-        return best, self.predict(loss_rate, best)
-
-    def knob_for_target(
-        self, loss_rate: float, target_consistency: float
-    ) -> Optional[float]:
-        """Smallest knob achieving the target, or None if unattainable."""
-        candidates = sorted({knob for _, knob in self._points})
-        for knob in candidates:
-            if self.predict(loss_rate, knob) >= target_consistency:
-                return knob
-        return None
-
-    def as_rows(self) -> List[Dict[str, float]]:
-        """Flat rows for printing/serialisation."""
-        return [
-            {
-                "loss_rate": point.loss_rate,
-                self.knob_name: point.knob,
-                "consistency": point.consistency,
-            }
-            for point in sorted(
-                self._points.values(), key=lambda p: (p.loss_rate, p.knob)
-            )
-        ]
-
-
-def _bracket(grid: List[float], value: float) -> Tuple[float, float]:
-    """The two grid values surrounding ``value`` (clamped at the edges)."""
-    if not grid:
-        raise ValueError("empty grid")
-    if value <= grid[0]:
-        return grid[0], grid[0]
-    if value >= grid[-1]:
-        return grid[-1], grid[-1]
-    index = bisect.bisect_left(grid, value)
-    if grid[index] == value:
-        return value, value
-    return grid[index - 1], grid[index]
 
 
 @dataclass(frozen=True)
@@ -166,24 +60,28 @@ class LatencyPoint:
             )
 
 
-class LatencyProfile:
-    """An interpolated T_recv surface over (loss rate, knob).
+class _Surface:
+    """A bilinearly interpolated surface over (loss rate, knob).
 
-    The paper's allocator derives "the share of bandwidth for the
-    different transmission queues ... from the T_rec profile"
-    (Section 6.1): unlike consistency, latency is *minimized*, and a
-    delay requirement maps to the smallest knob meeting it.
+    Subclasses name the point field they interpolate (``_field``, also
+    the ``kind`` tag :func:`profile_to_json` writes), its point type
+    (``_point``) and whether larger values are better (``_maximize``).
     """
 
-    def __init__(self, name: str, knob_name: str = "cold_share") -> None:
+    _field = ""
+    _point: type = object
+    _maximize = True
+
+    def __init__(self, name: str, knob_name: str) -> None:
         self.name = name
         self.knob_name = knob_name
-        self._points: Dict[Tuple[float, float], LatencyPoint] = {}
+        self._points: Dict[Tuple[float, float], Any] = {}
 
-    def add(self, point: LatencyPoint) -> None:
+    def add(self, point) -> None:
+        """Add (or overwrite) a measured point."""
         self._points[(point.loss_rate, point.knob)] = point
 
-    def add_many(self, points: Iterable[LatencyPoint]) -> None:
+    def add_many(self, points: Iterable) -> None:
         for point in points:
             self.add(point)
 
@@ -199,10 +97,14 @@ class LatencyProfile:
             {knob for loss, knob in self._points if loss == loss_rate}
         )
 
+    def _value(self, loss_rate: float, knob: float) -> float:
+        return getattr(self._points[(loss_rate, knob)], self._field)
+
+    # -- prediction ----------------------------------------------------------
     def predict(self, loss_rate: float, knob: float) -> float:
-        """Bilinearly interpolated latency at an operating point."""
+        """Interpolated value at an arbitrary operating point."""
         if not self._points:
-            raise ValueError(f"latency profile {self.name!r} is empty")
+            raise ValueError(f"{self._field} profile {self.name!r} is empty")
         lo, hi = _bracket(self.loss_rates, loss_rate)
         value_lo = self._predict_at_loss(lo, knob)
         if lo == hi:
@@ -212,32 +114,92 @@ class LatencyProfile:
         return value_lo * (1.0 - weight) + value_hi * weight
 
     def _predict_at_loss(self, loss_rate: float, knob: float) -> float:
-        knobs = self.knobs(loss_rate)
-        lo, hi = _bracket(knobs, knob)
-        v_lo = self._points[(loss_rate, lo)].latency
+        lo, hi = _bracket(self.knobs(loss_rate), knob)
+        v_lo = self._value(loss_rate, lo)
         if lo == hi:
             return v_lo
-        v_hi = self._points[(loss_rate, hi)].latency
+        v_hi = self._value(loss_rate, hi)
         weight = (knob - lo) / (hi - lo)
         return v_lo * (1.0 - weight) + v_hi * weight
 
     def best_knob(self, loss_rate: float) -> Tuple[float, float]:
-        """(knob, predicted latency) minimizing latency at this loss."""
+        """(knob, predicted value) at the best predicted value for this loss.
+
+        Searches the union of measured knob values (the surface is
+        piecewise linear in the knob, so the optimum lies on a grid
+        point of the interpolant).
+        """
         if not self._points:
-            raise ValueError(f"latency profile {self.name!r} is empty")
+            raise ValueError(f"{self._field} profile {self.name!r} is empty")
         candidates = sorted({knob for _, knob in self._points})
-        best = min(candidates, key=lambda k: self.predict(loss_rate, k))
+        pick = max if self._maximize else min
+        best = pick(candidates, key=lambda k: self.predict(loss_rate, k))
         return best, self.predict(loss_rate, best)
 
     def knob_for_target(
-        self, loss_rate: float, target_latency: float
+        self, loss_rate: float, target: float
     ) -> Optional[float]:
-        """Smallest knob whose predicted latency meets the target."""
+        """Smallest knob whose prediction meets the target, or None."""
         candidates = sorted({knob for _, knob in self._points})
         for knob in candidates:
-            if self.predict(loss_rate, knob) <= target_latency:
+            value = self.predict(loss_rate, knob)
+            if (value >= target) if self._maximize else (value <= target):
                 return knob
         return None
+
+
+class ConsistencyProfile(_Surface):
+    """An interpolated consistency surface over (loss rate, knob)."""
+
+    _field = "consistency"
+    _point = ProfilePoint
+
+    def __init__(self, name: str, knob_name: str = "allocation") -> None:
+        super().__init__(name, knob_name)
+
+    def as_rows(self) -> List[Dict[str, float]]:
+        """Flat rows for printing/serialisation."""
+        return [
+            {
+                "loss_rate": point.loss_rate,
+                self.knob_name: point.knob,
+                "consistency": point.consistency,
+            }
+            for point in sorted(
+                self._points.values(), key=lambda p: (p.loss_rate, p.knob)
+            )
+        ]
+
+
+class LatencyProfile(_Surface):
+    """An interpolated T_recv surface over (loss rate, knob).
+
+    The paper's allocator derives "the share of bandwidth for the
+    different transmission queues ... from the T_rec profile"
+    (Section 6.1): unlike consistency, latency is *minimized*, and a
+    delay requirement maps to the smallest knob meeting it.
+    """
+
+    _field = "latency"
+    _point = LatencyPoint
+    _maximize = False
+
+    def __init__(self, name: str, knob_name: str = "cold_share") -> None:
+        super().__init__(name, knob_name)
+
+
+def _bracket(grid: List[float], value: float) -> Tuple[float, float]:
+    """The two grid values surrounding ``value`` (clamped at the edges)."""
+    if not grid:
+        raise ValueError("empty grid")
+    if value <= grid[0]:
+        return grid[0], grid[0]
+    if value >= grid[-1]:
+        return grid[-1], grid[-1]
+    index = bisect.bisect_left(grid, value)
+    if grid[index] == value:
+        return value, value
+    return grid[index - 1], grid[index]
 
 
 def profile_to_json(profile) -> str:
@@ -250,31 +212,19 @@ def profile_to_json(profile) -> str:
     """
     import json
 
-    if isinstance(profile, ConsistencyProfile):
-        kind = "consistency"
-        points = [
-            {
-                "loss_rate": point.loss_rate,
-                "knob": point.knob,
-                "value": point.consistency,
-            }
-            for point in profile._points.values()
-        ]
-    elif isinstance(profile, LatencyProfile):
-        kind = "latency"
-        points = [
-            {
-                "loss_rate": point.loss_rate,
-                "knob": point.knob,
-                "value": point.latency,
-            }
-            for point in profile._points.values()
-        ]
-    else:
+    if not isinstance(profile, _Surface):
         raise TypeError(f"cannot serialise {type(profile).__name__}")
+    points = [
+        {
+            "loss_rate": point.loss_rate,
+            "knob": point.knob,
+            "value": getattr(point, profile._field),
+        }
+        for point in profile._points.values()
+    ]
     return json.dumps(
         {
-            "kind": kind,
+            "kind": profile._field,
             "name": profile.name,
             "knob_name": profile.knob_name,
             "points": sorted(
@@ -291,26 +241,17 @@ def profile_from_json(text: str):
 
     data = json.loads(text)
     kind = data.get("kind")
-    if kind == "consistency":
-        profile = ConsistencyProfile(data["name"], data["knob_name"])
-        for point in data["points"]:
-            profile.add(
-                ProfilePoint(
-                    loss_rate=point["loss_rate"],
-                    knob=point["knob"],
-                    consistency=point["value"],
-                )
+    kinds = {cls._field: cls for cls in (ConsistencyProfile, LatencyProfile)}
+    if kind not in kinds:
+        raise ValueError(f"unknown profile kind {kind!r}")
+    cls = kinds[kind]
+    profile = cls(data["name"], data["knob_name"])
+    for point in data["points"]:
+        profile.add(
+            cls._point(
+                loss_rate=point["loss_rate"],
+                knob=point["knob"],
+                **{cls._field: point["value"]},
             )
-        return profile
-    if kind == "latency":
-        profile = LatencyProfile(data["name"], data["knob_name"])
-        for point in data["points"]:
-            profile.add(
-                LatencyPoint(
-                    loss_rate=point["loss_rate"],
-                    knob=point["knob"],
-                    latency=point["value"],
-                )
-            )
-        return profile
-    raise ValueError(f"unknown profile kind {kind!r}")
+        )
+    return profile

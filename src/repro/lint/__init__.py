@@ -1,28 +1,25 @@
-"""``repro.lint`` — AST-based determinism & simulation-safety analyzer.
+"""``repro.lint`` — AST-based determinism checks that earn their place.
 
-Every quantitative claim this reproduction makes — the Section 3
-consistency curves, the fault-recovery results, byte-identical
-``--jobs 1`` vs ``--jobs N`` merges, traced-vs-untraced equality —
-rests on invariants no example-based test can fully enforce:
-simulation code must never touch wall-clock time, global or
-fixed-seed-cloned RNG, or order-unstable iteration on its results
-path, and observability hooks must stay behind their precomputed
-guards.  This package checks those invariants statically, using only
-the standard library (``ast`` + ``tokenize``).
+Most determinism defects already fail a check CI runs: the golden
+render, registry and fault-matrix digests, ``repro check`` and the
+chaos smoke are the oracle.  This package keeps only the rules that
+catch a defect none of those see, each justified by a real-code mutant
+pinned in ``tests/lint/test_pinned_mutants.py``: a wall-clock read
+(RPR002), iteration over a hash-salted set (RPR004), an unguarded
+kernel trace emit (RPR005), and a cached solver or cell that reads
+state outside its cache key (RPR104, a whole-program check).  One pass
+runs them all, using only the standard library (``ast`` +
+``tokenize``).
 
 Public surface::
 
     from repro.lint import lint_paths, lint_source, RULES
     findings = lint_paths(["src", "benchmarks", "examples"])
 
-Rule catalogue, suppression syntax, and exit codes: docs/LINT.md.
+Rules, their mutants, the audit, suppression syntax and exit codes:
+docs/LINT.md.
 """
 
-from repro.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import (
     iter_python_files,
     lint_file,
@@ -42,7 +39,4 @@ __all__ = [
     "lint_file",
     "lint_source",
     "iter_python_files",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
 ]

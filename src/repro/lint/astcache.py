@@ -1,9 +1,9 @@
-"""Content-hash AST cache shared by the line-local and deep passes.
+"""Content-hash AST cache shared by the per-file and whole-program rules.
 
-Both ``repro lint`` and ``repro lint --deep`` walk the same files, and
-the deep pass additionally revisits every file while building its call
-graph.  Parsing dominates the cost of a lint run, so each file is
-parsed **once per content digest**: the tree is keyed by the SHA-256 of
+The per-file rules walk every linted file, and the cache-purity rule
+revisits each one while building its call graph.  Parsing dominates
+the cost of a lint run, so each file is parsed **once per content
+digest**: the tree is keyed by the SHA-256 of
 the source bytes (not by path or mtime), which makes the cache immune
 to touch-without-change and correct under edit-and-relint loops inside
 one process (the benchmark's warm pass, editor integrations).
@@ -136,7 +136,7 @@ def stats() -> Dict[str, int]:
 def generation() -> int:
     """Monotone counter bumped by :func:`clear`.
 
-    Downstream memos keyed on cache contents (the deep pass's
+    Downstream memos keyed on cache contents (the call graph's
     last-program cache) include this in their keys so ``clear()``
     invalidates *everything* derived from the cache — the benchmark's
     cold pass really is cold.

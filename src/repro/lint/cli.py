@@ -2,44 +2,31 @@
 
 Usage::
 
-    python -m repro lint [PATH ...] [--deep]
-                         [--format text|json|sarif]
-                         [--baseline FILE] [--write-baseline FILE]
+    python -m repro lint [PATH ...]
 
-``--deep`` additionally runs the whole-program pass
-(:mod:`repro.lint.deep`: RNG provenance, same-time races, cache
-purity) on top of the line-local rules; both passes share one
-content-hash AST cache, so every file is parsed once.
+One pass runs every registered rule — the per-file rules and the
+whole-program cache-purity check — over the given files and
+directories (default: ``src benchmarks examples``, those that exist)
+and prints the findings as ``path:line:col: CODE [severity] message``.
+There are no options.
 
 Exit codes (stable contract, relied on by CI and the Makefile):
 
-* ``0`` — clean: no findings beyond the baseline, no stale baseline
-  entries;
-* ``1`` — non-baselined findings and/or stale baseline entries;
-* ``2`` — usage or environment error (missing path, unreadable
-  baseline).
+* ``0`` — clean;
+* ``1`` — at least one finding;
+* ``2`` — usage error (missing path).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
 
-from repro.lint.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import lint_paths
-from repro.lint.findings import Finding
 
 DEFAULT_PATHS = ["src", "benchmarks", "examples"]
-
-#: JSON payload schema version for --format json.
-OUTPUT_VERSION = 1
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -50,31 +37,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="files or directories to lint "
         f"(default: {' '.join(DEFAULT_PATHS)}, those that exist)",
-    )
-    parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the whole-program pass (RNG provenance, "
-        "same-time races, cache purity: RPR101-RPR104)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json", "sarif"],
-        default="text",
-        help="output format (json is stable for editor/CI consumption; "
-        "sarif is SARIF 2.1.0 for code-scanning ingestion)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="grandfather findings listed in this baseline; stale "
-        "entries fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current findings to FILE as a fresh baseline and "
-        "exit 0",
     )
 
 
@@ -97,90 +59,12 @@ def run(args: argparse.Namespace) -> int:
         return 2
 
     findings = lint_paths(paths)
-    deep_findings: Optional[List[Finding]] = None
-    if args.deep:
-        from repro.lint.deep import deep_lint_paths
-
-        deep_findings = deep_lint_paths(paths)
-
-    if args.write_baseline:
-        diff = write_baseline(
-            args.write_baseline, findings, deep_findings=deep_findings
-        )
-        total = len(findings) + len(deep_findings or [])
-        print(f"wrote {total} finding(s) to {args.write_baseline}")
-        for code in sorted(diff):
-            added, removed = diff[code]["added"], diff[code]["removed"]
-            print(f"  {code}: +{added} -{removed}")
-        if not diff:
-            print("  baseline unchanged")
-        return 0
-
-    stale: List[dict] = []
-    reported = list(findings)
-    baselined = 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        reported, stale = apply_baseline(findings, baseline)
-        baselined = len(findings) - len(reported)
-        if deep_findings is not None:
-            new_deep, deep_stale = apply_baseline(
-                deep_findings, baseline, section="deep"
-            )
-            baselined += len(deep_findings) - len(new_deep)
-            reported.extend(new_deep)
-            stale.extend(deep_stale)
-    elif deep_findings is not None:
-        reported.extend(deep_findings)
-    reported.sort(key=Finding.sort_key)
-
-    if args.format == "json":
-        _print_json(reported, stale)
-    elif args.format == "sarif":
-        from repro.lint.sarif import sarif_json
-
-        sys.stdout.write(sarif_json(reported))
-    else:
-        _print_text(reported, stale, baselined=baselined)
-    return 1 if (reported or stale) else 0
-
-
-def _print_json(findings: List[Finding], stale: List[dict]) -> None:
-    counts = {"error": 0, "warning": 0}
-    for finding in findings:
-        counts[finding.severity] = counts.get(finding.severity, 0) + 1
-    payload = {
-        "version": OUTPUT_VERSION,
-        "findings": [f.as_dict() for f in findings],
-        "counts": counts,
-        "stale_baseline": stale,
-    }
-    print(json.dumps(payload, indent=1))
-
-
-def _print_text(
-    findings: List[Finding], stale: List[dict], baselined: int
-) -> None:
     for finding in findings:
         print(finding.render())
-    for entry in stale:
-        print(
-            f"{entry['path']}:{entry['line']}: stale baseline entry for "
-            f"{entry['code']} (finding no longer present — delete it "
-            "from the baseline)"
-        )
     errors = sum(1 for f in findings if f.severity == "error")
-    warnings = len(findings) - errors
-    summary = f"{errors} error(s), {warnings} warning(s)"
-    if baselined:
-        summary += f", {baselined} baselined"
-    if stale:
-        summary += f", {len(stale)} stale baseline entr(y/ies)"
-    print(summary if (findings or stale or baselined) else "clean: " + summary)
+    summary = f"{errors} error(s), {len(findings) - errors} warning(s)"
+    print(summary if findings else "clean: " + summary)
+    return 1 if findings else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,13 +1,9 @@
-"""Program model for the deep pass: modules, classes, call graph.
+"""Program model for the cache-purity rule: modules, classes, call graph.
 
 :func:`build_program` walks a set of files/directories (the same walk
-as the line-local engine), assigns each file a dotted module name by
+as the per-file rules), assigns each file a dotted module name by
 climbing its ``__init__.py`` package chain, and builds:
 
-* a **module-dependency graph** discovered through
-  :func:`repro.cache.fingerprint.imported_modules` — the exact AST
-  import walker the result cache fingerprints with, so "what the deep
-  pass analyzes" and "what invalidates the cache" are one definition;
 * a **symbol table** per module (functions, classes, imported names);
 * a **call graph**: per-function callee lists resolved conservatively
   (direct names, imported names, ``self.method`` through the MRO,
@@ -15,10 +11,10 @@ climbing its ``__init__.py`` package chain, and builds:
   calls, ``yield from``).
 
 Resolution is deliberately *under*-approximate: an edge exists only
-when the target is certain.  The analyses built on top are therefore
-quiet rather than noisy — they miss dynamic dispatch, but every edge
-they do traverse is real, which is what lets findings carry an exact
-source-to-sink chain.
+when the target is certain.  The purity analysis built on top is
+therefore quiet rather than noisy — it misses dynamic dispatch, but
+every edge it does traverse is real, which is what lets a finding
+carry an exact source-to-sink chain.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ import ast
 import os
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.cache.fingerprint import imported_modules_from_tree
 from repro.lint import astcache
 from repro.lint.engine import iter_python_files, normalize_path
 
@@ -71,7 +66,6 @@ class FunctionInfo:
         "cls",
         "parent",
         "nested",
-        "is_generator",
         "local_types",
         "_callees",
     )
@@ -91,10 +85,6 @@ class FunctionInfo:
         self.cls = cls
         self.parent = parent
         self.nested: Dict[str, "FunctionInfo"] = {}
-        self.is_generator = any(
-            isinstance(sub, (ast.Yield, ast.YieldFrom))
-            for sub in own_nodes(node)
-        )
         self.local_types: Optional[Dict[str, "ClassInfo"]] = None
         self._callees: Optional[List[Tuple["FunctionInfo", ast.Call]]] = None
 
@@ -125,7 +115,7 @@ class ClassInfo:
     """One class definition plus its inferred ``self.<attr>`` types."""
 
     __slots__ = ("id", "module", "qualname", "node", "base_refs", "methods",
-                 "attr_types", "attr_assigns")
+                 "attr_types")
 
     def __init__(
         self, module: "ModuleInfo", qualname: str, node: ast.ClassDef
@@ -138,8 +128,6 @@ class ClassInfo:
         self.methods: Dict[str, FunctionInfo] = {}
         #: attr -> ClassInfo inferred from ``self.attr = Cls(...)``.
         self.attr_types: Dict[str, "ClassInfo"] = {}
-        #: attr -> (FunctionInfo, assign node) of its first assignment.
-        self.attr_assigns: Dict[str, Tuple[FunctionInfo, ast.AST]] = {}
 
     @property
     def name(self) -> str:
@@ -153,7 +141,7 @@ class ModuleInfo:
     """One parsed module in the analyzed program."""
 
     __slots__ = ("name", "path", "rel_path", "parsed", "functions",
-                 "classes", "deps")
+                 "classes")
 
     def __init__(self, name: str, path: str, parsed) -> None:
         self.name = name
@@ -165,8 +153,6 @@ class ModuleInfo:
         self.functions: Dict[str, FunctionInfo] = {}
         #: every class by dotted qualname.
         self.classes: Dict[str, ClassInfo] = {}
-        #: in-program module names this module imports.
-        self.deps: Set[str] = set()
 
     @property
     def ctx(self):
@@ -238,15 +224,6 @@ class Program:
 
         visit(module.parsed.tree, "", None, None)
 
-    def _link_deps(self) -> None:
-        for module in self.modules.values():
-            is_package = module.path.endswith("__init__.py")
-            for imported in imported_modules_from_tree(
-                module.parsed.tree, module.name, is_package
-            ):
-                if imported in self.modules and imported != module.name:
-                    module.deps.add(imported)
-
     def _infer_attr_types(self) -> None:
         """``self.attr = Cls(...)`` anywhere in a class -> attr type."""
         for cls in self.classes.values():
@@ -265,7 +242,6 @@ class Program:
                     ):
                         continue
                     attr = target.attr
-                    cls.attr_assigns.setdefault(attr, (method, node))
                     if isinstance(value, ast.Call):
                         resolved = self.resolve_expr(method, value.func)
                         if isinstance(resolved, ClassInfo):
@@ -495,14 +471,6 @@ class Program:
                 return ancestor.attr_types[attr]
         return None
 
-    def attr_assignment(
-        self, cls: ClassInfo, attr: str
-    ) -> Optional[Tuple[FunctionInfo, ast.AST]]:
-        for ancestor in self.mro(cls):
-            if attr in ancestor.attr_assigns:
-                return ancestor.attr_assigns[attr]
-        return None
-
     # -- call graph --------------------------------------------------------
     def callees(
         self, fn: FunctionInfo
@@ -540,43 +508,9 @@ class Program:
                     targets.append(method)
         return targets
 
-    def bind_arguments(
-        self, fn: FunctionInfo, call: ast.Call, callee: FunctionInfo
-    ) -> List[Tuple[str, ast.expr]]:
-        """Map call arguments to callee parameter names (best effort).
-
-        Bound method calls (``obj.m(...)``, constructors) skip the
-        ``self`` parameter; unbound calls (``Cls.m(inst, ...)``) and
-        plain functions bind positionally from the start.
-        """
-        params = callee.params()
-        if callee.cls is not None and params and params[0] in ("self", "cls"):
-            bound = not (
-                isinstance(call.func, ast.Attribute)
-                and isinstance(call.func.value, ast.Name)
-                and call.func.value.id
-                in (callee.cls.name, callee.cls.qualname)
-            )
-            if bound:
-                params = params[1:]
-        pairs: List[Tuple[str, ast.expr]] = []
-        for index, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                break
-            if index < len(params):
-                pairs.append((params[index], arg))
-        names = set(callee.params())
-        for keyword in call.keywords:
-            if keyword.arg is not None and keyword.arg in names:
-                pairs.append((keyword.arg, keyword.value))
-        return pairs
-
     # -- traversal helpers -------------------------------------------------
     def sorted_functions(self) -> List[FunctionInfo]:
         return [self.functions[key] for key in sorted(self.functions)]
-
-    def sorted_modules(self) -> List[ModuleInfo]:
-        return [self.modules[key] for key in sorted(self.modules)]
 
 
 _SCOPE_FNS: Dict[str, FunctionInfo] = {}
@@ -602,7 +536,7 @@ _last_program: Optional[Program] = None
 def build_program(paths: Sequence[str]) -> Program:
     """Parse every python file under ``paths`` into a :class:`Program`.
 
-    Unparseable files are skipped (the line-local pass reports RPR000
+    Unparseable files are skipped (the per-file pass reports RPR000
     for them); duplicate module names keep the first occurrence in walk
     order, which is deterministic.  Rebuilding over an unchanged file
     set returns the previously built program.
@@ -627,7 +561,6 @@ def build_program(paths: Sequence[str]) -> Program:
         if name in program.modules:
             continue
         program._add_module(name, file_path, parsed)
-    program._link_deps()
     program._infer_attr_types()
     _last_program_key = key
     _last_program = program

@@ -54,8 +54,8 @@ _MAX_DEPTH = 6
 #: Receiver methods that read file content.
 _FILE_READERS = {"read_text", "read_bytes"}
 
-#: Mutator method names on module-global objects (shared with the race
-#: detector's intent: these mutate their receiver).
+#: Mutator method names on module-global objects (these mutate their
+#: receiver).
 _GLOBAL_MUTATORS = {
     "add",
     "append",

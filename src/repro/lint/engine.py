@@ -1,15 +1,16 @@
 """File walking, parsing, suppression handling, and rule dispatch.
 
 The engine parses each file once, extracts inline suppressions from the
-token stream, instantiates every registered rule whose path scope
-matches, and returns the surviving findings sorted by location.
+token stream, runs every registered per-file rule whose path scope
+matches, then runs the whole-program rules over the same parsed files,
+and returns the surviving findings sorted by location.
 
 Suppression syntax (checked against the comment tokens, so it works on
 any physical line, including inside expressions)::
 
-    something_hot()        # repro-lint: disable=RPR002
-    # repro-lint: disable-next=RPR001,RPR004
-    value = draw()
+    start = time.perf_counter()  # repro-lint: disable=RPR002
+    # repro-lint: disable-next=RPR002,RPR104
+    value = read_knob()
 
 ``disable=all`` silences every rule for that line.  Suppressions are
 deliberately line-scoped — there is no file- or block-level off switch,
@@ -127,7 +128,7 @@ def _check_rules(
         if wanted is not None and code not in wanted:
             continue
         rule = RULES[code]()
-        if not rule.applies(ctx.path):
+        if rule.whole_program or not rule.applies(ctx.path):
             continue
         for finding in rule.check(ctx):
             if not _is_suppressed(finding, suppressions):
@@ -165,7 +166,7 @@ def lint_file(
 
     Within a process the file is parsed once per content digest, and
     the derived import tables / parent map / suppression table are
-    shared with the deep pass (see :mod:`repro.lint.astcache`).
+    shared with the whole-program rules (see :mod:`repro.lint.astcache`).
     """
     from repro.lint import astcache
 
@@ -188,9 +189,26 @@ def lint_file(
 def lint_paths(
     paths: Sequence[str], codes: Optional[Iterable[str]] = None
 ) -> List[Finding]:
-    """Lint every python file under ``paths``; sorted findings."""
+    """Lint every python file under ``paths``; sorted findings.
+
+    Per-file rules run file by file; whole-program rules run once over
+    the program those files make up (each honours inline suppressions
+    at the line it reports).
+    """
+    wanted = set(codes) if codes is not None else None
     findings: List[Finding] = []
     for file_path in iter_python_files(paths):
         findings.extend(lint_file(file_path, codes=codes))
+    program_rules = [
+        RULES[code]()
+        for code in sorted(RULES)
+        if RULES[code].whole_program and (wanted is None or code in wanted)
+    ]
+    if program_rules:
+        from repro.lint.deep.graph import build_program
+
+        program = build_program(paths)
+        for rule in program_rules:
+            findings.extend(rule.check_program(program))
     findings.sort(key=Finding.sort_key)
     return findings

@@ -1,13 +1,12 @@
-"""Finding record shared by the rule engine, baseline, and CLI."""
+"""Finding record shared by the rule engine and the CLI."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
-#: Recognised severity levels, most severe first.  Both levels gate the
-#: build (any non-baselined finding fails); the split exists so output
-#: consumers can triage.
+#: Recognised severity levels, most severe first.  Both levels fail the
+#: run; the split exists so a reader can triage.
 SEVERITIES = ("error", "warning")
 
 
@@ -19,9 +18,6 @@ class TraceStep:
     line: int
     note: str
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {"path": self.path, "line": self.line, "note": self.note}
-
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.note}"
 
@@ -30,17 +26,16 @@ class TraceStep:
 class Finding:
     """One rule violation at a source location.
 
-    Line-local rules leave ``trace`` empty; the whole-program analyses
-    (``repro lint --deep``) attach the call chain from source to sink —
-    injection point to draw site for RPR101, root cell/solver to impure
-    read for RPR104 — so a finding is actionable without re-running the
+    Per-file rules leave ``trace`` empty; the whole-program cache-purity
+    rule (RPR104) attaches the call chain from the cached root to the
+    impure read, so a finding is actionable without re-running the
     analysis in one's head.
     """
 
     path: str  #: posix-normalised, repo-relative where possible
     line: int  #: 1-based
     col: int  #: 0-based (ast convention)
-    code: str  #: e.g. "RPR001"
+    code: str  #: e.g. "RPR104"
     rule: str  #: short kebab-case rule name
     severity: str  #: one of SEVERITIES
     message: str
@@ -48,22 +43,6 @@ class Finding:
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
-
-    def as_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-        }
-        # Backwards-compatible payload: line-local findings keep the
-        # historical seven-key shape pinned by tests/lint/test_cli_lint.
-        if self.trace:
-            payload["trace"] = [step.as_dict() for step in self.trace]
-        return payload
 
     def render(self) -> str:
         head = (

@@ -1,4 +1,4 @@
-"""Program model: module naming, dependency edges, call resolution."""
+"""Program model: module naming and call resolution."""
 
 from __future__ import annotations
 
@@ -23,32 +23,6 @@ def test_module_name_climbs_the_package_chain(tmp_path):
     loose = tmp_path / "loose.py"
     loose.write_text("Y = 2\n")
     assert module_name_for(str(loose)) == "loose"
-
-
-def test_dependency_edges_cover_in_program_imports_only(tmp_path):
-    _write_pkg(
-        tmp_path,
-        {
-            "a.py": """
-                import os
-
-                from pkg import b
-            """,
-            "b.py": """
-                from pkg.c import helper
-            """,
-            "c.py": """
-                def helper():
-                    return 1
-            """,
-        },
-    )
-    program = build_program([str(tmp_path)])
-    # ``from pkg import b`` records both the package and the submodule;
-    # the stdlib import (os) is out of program scope and never appears.
-    assert program.modules["pkg.a"].deps == {"pkg", "pkg.b"}
-    assert program.modules["pkg.b"].deps == {"pkg.c"}
-    assert program.modules["pkg.c"].deps == set()
 
 
 def test_call_graph_resolves_functions_methods_and_constructors(tmp_path):
@@ -113,33 +87,7 @@ def test_self_method_resolution_follows_the_mro(tmp_path):
     assert callees == {"pkg.base:Base.hook"}
 
 
-def test_bind_arguments_maps_positional_and_keyword(tmp_path):
-    _write_pkg(
-        tmp_path,
-        {
-            "m.py": """
-                def callee(alpha, beta, gamma=None):
-                    return alpha
-
-
-                def caller():
-                    return callee(1, gamma=3, beta=2)
-            """,
-        },
-    )
-    program = build_program([str(tmp_path)])
-    caller = program.modules["pkg.m"].functions["caller"]
-    ((callee, call),) = [
-        edge for edge in program.callees(caller)
-    ]
-    bound = dict(
-        (name, node.value)
-        for name, node in program.bind_arguments(caller, call, callee)
-    )
-    assert bound == {"alpha": 1, "beta": 2, "gamma": 3}
-
-
-def test_generator_flag_and_attr_type_inference(tmp_path):
+def test_attr_type_inference_resolves_self_attribute_calls(tmp_path):
     _write_pkg(
         tmp_path,
         {
@@ -161,8 +109,6 @@ def test_generator_flag_and_attr_type_inference(tmp_path):
     )
     program = build_program([str(tmp_path)])
     module = program.modules["pkg.m"]
-    assert module.functions["Session.pump"].is_generator
-    assert not module.functions["Channel.send"].is_generator
     session = module.classes["Session"]
     assert session.attr_types["chan"].qualname == "Channel"
     pump = module.functions["Session.pump"]

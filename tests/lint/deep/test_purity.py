@@ -5,9 +5,14 @@ from __future__ import annotations
 import os
 import textwrap
 
-from repro.lint.deep import deep_lint_paths
+from repro.lint import lint_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def purity_findings(paths):
+    """The cache-purity rule alone over ``paths``."""
+    return lint_paths(paths, codes=["RPR104"])
 
 
 def _one(findings, code="RPR104"):
@@ -18,7 +23,7 @@ def _one(findings, code="RPR104"):
 
 def test_environ_read_two_calls_deep_is_flagged_with_chain():
     finding = _one(
-        deep_lint_paths([os.path.join(FIXTURES, "purepkg", "knobs.py")])
+        purity_findings([os.path.join(FIXTURES, "purepkg", "knobs.py")])
     )
     assert "os.environ" in finding.message
     assert "solve()" in finding.message
@@ -30,14 +35,14 @@ def test_environ_read_two_calls_deep_is_flagged_with_chain():
 
 def test_cell_file_read_is_flagged():
     finding = _one(
-        deep_lint_paths([os.path.join(FIXTURES, "purepkg", "cells.py")])
+        purity_findings([os.path.join(FIXTURES, "purepkg", "cells.py")])
     )
     assert "opens a file" in finding.message
     assert "cacheable cell _cell()" in finding.message
 
 
 def test_global_mutation_under_a_memoized_solver():
-    findings = deep_lint_paths(
+    findings = purity_findings(
         [os.path.join(FIXTURES, "purepkg", "globals_mut.py")]
     )
     assert [f.code for f in findings] == ["RPR104", "RPR104"]
@@ -48,20 +53,20 @@ def test_global_mutation_under_a_memoized_solver():
 
 def test_closure_capture_in_a_memoized_closure():
     finding = _one(
-        deep_lint_paths([os.path.join(FIXTURES, "purepkg", "captures.py")])
+        purity_findings([os.path.join(FIXTURES, "purepkg", "captures.py")])
     )
     assert "captures 'scale'" in finding.message
 
 
 def test_pure_solver_is_clean():
-    findings = deep_lint_paths(
+    findings = purity_findings(
         [os.path.join(FIXTURES, "purepkg", "clean.py")]
     )
     assert findings == []
 
 
 def test_justified_suppression_at_the_sink_wins():
-    findings = deep_lint_paths(
+    findings = purity_findings(
         [os.path.join(FIXTURES, "purepkg", "waived.py")]
     )
     assert findings == []
@@ -90,7 +95,7 @@ def test_seeded_impurity_mutant_pinpoints_the_exact_chain(tmp_path):
     sink with the complete root-to-sink call chain."""
     target = tmp_path / "mutant.py"
     target.write_text(MUTANT)
-    findings = deep_lint_paths([str(target)])
+    findings = purity_findings([str(target)])
     (finding,) = [f for f in findings if f.code == "RPR104"]
     assert finding.line == 7  # anchored at the os.environ read
     chain = [(step.line, step.note) for step in finding.trace]
@@ -117,5 +122,5 @@ def test_self_attribute_reads_are_not_impure(tmp_path):
     )
     target = tmp_path / "method.py"
     target.write_text(source)
-    findings = deep_lint_paths([str(target)])
+    findings = purity_findings([str(target)])
     assert findings == []

@@ -71,12 +71,12 @@ def test_syntax_error_is_memoized_and_reraised():
 
 def test_derived_structures_are_lazy_and_cached(tmp_path):
     path = tmp_path / "mod.py"
-    path.write_text("import os\nX = os.sep  # repro-lint: disable=RPR001\n")
+    path.write_text("import os\nX = os.sep  # repro-lint: disable=RPR002\n")
     parsed = astcache.load(str(path))
     assert parsed._ctx is None and parsed._suppressions is None
     ctx = parsed.ctx
     suppressions = parsed.suppressions
     assert parsed.ctx is ctx
     assert parsed.suppressions is suppressions
-    assert suppressions == {2: {"RPR001"}}
+    assert suppressions == {2: {"RPR002"}}
     assert ctx.module_aliases == {"os": "os"}

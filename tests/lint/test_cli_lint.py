@@ -1,8 +1,7 @@
-"""CLI contract: exit codes, JSON schema, baseline gating, docs meta-test."""
+"""CLI contract: paths only, exit codes, docs meta-test, repo lints clean."""
 
 from __future__ import annotations
 
-import json
 import os
 import textwrap
 
@@ -10,14 +9,13 @@ import pytest
 
 from repro.cli import main as repro_main
 from repro.lint import all_codes
-from repro.lint.cli import OUTPUT_VERSION
 
 HAZARD = textwrap.dedent(
     """
-    import random
+    import time
 
-    def draw():
-        return random.random()
+    def stamp():
+        return time.time()
     """
 )
 
@@ -40,7 +38,7 @@ def test_exit_one_on_findings(project, capsys):
     (project / "hazard.py").write_text(HAZARD)
     assert repro_main(["lint", "hazard.py"]) == 1
     out = capsys.readouterr().out
-    assert "RPR001" in out and "hazard.py:5" in out
+    assert "RPR002" in out and "hazard.py:5" in out
 
 
 def test_exit_two_on_missing_path(project, capsys):
@@ -48,73 +46,14 @@ def test_exit_two_on_missing_path(project, capsys):
     assert "no such path" in capsys.readouterr().err
 
 
-def test_exit_two_on_unreadable_baseline(project, capsys):
-    (project / "broken.json").write_text("{not json")
-    assert repro_main(
-        ["lint", "clean.py", "--baseline", "broken.json"]
-    ) == 2
-
-
-def test_json_output_schema(project, capsys):
-    (project / "hazard.py").write_text(HAZARD)
-    assert repro_main(["lint", "hazard.py", "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == OUTPUT_VERSION
-    assert payload["counts"] == {"error": 1, "warning": 0}
-    assert payload["stale_baseline"] == []
-    (finding,) = payload["findings"]
-    assert set(finding) == {
-        "path", "line", "col", "code", "rule", "severity", "message",
-    }
-    assert finding["code"] == "RPR001"
-    assert finding["severity"] == "error"
-
-
-def test_write_then_use_baseline_gates_only_new_findings(project, capsys):
-    (project / "hazard.py").write_text(HAZARD)
-    assert repro_main(
-        ["lint", "hazard.py", "--write-baseline", "baseline.json"]
-    ) == 0
-    capsys.readouterr()
-
-    # Grandfathered: exit 0 even though the finding still exists.
-    assert repro_main(
-        ["lint", "hazard.py", "--baseline", "baseline.json"]
-    ) == 0
-
-    # A new hazard on top of the baselined one fails the run.
-    (project / "hazard.py").write_text(HAZARD + "\nimport time\nT = time.time()\n")
-    assert repro_main(
-        ["lint", "hazard.py", "--baseline", "baseline.json"]
-    ) == 1
-    out = capsys.readouterr().out
-    assert "RPR002" in out and "baselined" in out
-
-
-def test_stale_baseline_entry_fails_the_run(project, capsys):
-    (project / "hazard.py").write_text(HAZARD)
-    assert repro_main(
-        ["lint", "hazard.py", "--write-baseline", "baseline.json"]
-    ) == 0
-    (project / "hazard.py").write_text(CLEAN)  # hazard fixed
-    assert repro_main(
-        ["lint", "hazard.py", "--baseline", "baseline.json"]
-    ) == 1
-    assert "stale baseline entry" in capsys.readouterr().out
-
-
-def test_stale_baseline_surfaces_in_json(project, capsys):
-    (project / "hazard.py").write_text(HAZARD)
-    repro_main(["lint", "hazard.py", "--write-baseline", "baseline.json"])
-    capsys.readouterr()
-    (project / "hazard.py").write_text(CLEAN)
-    assert repro_main(
-        ["lint", "hazard.py", "--baseline", "baseline.json",
-         "--format", "json"]
-    ) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["findings"] == []
-    assert [e["code"] for e in payload["stale_baseline"]] == ["RPR001"]
+@pytest.mark.parametrize(
+    "option", ["--deep", "--format=json", "--baseline=x.json"]
+)
+def test_lint_takes_no_options(project, capsys, option):
+    with pytest.raises(SystemExit) as exit_info:
+        repro_main(["lint", "clean.py", option])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_default_paths_used_when_none_given(tmp_path, monkeypatch, capsys):
@@ -122,7 +61,7 @@ def test_default_paths_used_when_none_given(tmp_path, monkeypatch, capsys):
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "hazard.py").write_text(HAZARD)
     assert repro_main(["lint"]) == 1
-    assert "RPR001" in capsys.readouterr().out
+    assert "RPR002" in capsys.readouterr().out
 
 
 def test_every_registered_code_is_documented():
@@ -134,7 +73,7 @@ def test_every_registered_code_is_documented():
         assert code in catalogue, f"{code} missing from docs/LINT.md"
 
 
-def test_repo_tree_lints_clean_against_checked_in_baseline():
+def test_repo_tree_lints_clean():
     """The acceptance gate, as a test: src/benchmarks/examples clean."""
     root = os.path.abspath(
         os.path.join(os.path.dirname(__file__), "..", "..")
@@ -142,10 +81,7 @@ def test_repo_tree_lints_clean_against_checked_in_baseline():
     cwd = os.getcwd()
     os.chdir(root)
     try:
-        code = repro_main(
-            ["lint", "src", "benchmarks", "examples",
-             "--baseline", "lint-baseline.json"]
-        )
+        code = repro_main(["lint", "src", "benchmarks", "examples"])
     finally:
         os.chdir(cwd)
     assert code == 0

@@ -1,28 +1,19 @@
-"""Engine-level behaviour: suppressions, baseline round-trip, walking."""
+"""Engine-level behaviour: parse errors, suppressions, walking."""
 
 from __future__ import annotations
 
-import json
 import os
 import textwrap
 
-from repro.lint import (
-    Finding,
-    apply_baseline,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    write_baseline,
-)
+from repro.lint import iter_python_files, lint_paths, lint_source
 from repro.lint.engine import collect_suppressions, normalize_path
 
 HAZARD = textwrap.dedent(
     """
-    import random
+    import time
 
-    def draw():
-        return random.random()
+    def stamp():
+        return time.time()
     """
 )
 
@@ -37,14 +28,14 @@ def test_collect_suppressions_same_line_next_line_and_all():
     suppressed = collect_suppressions(
         textwrap.dedent(
             """
-            x = 1  # repro-lint: disable=RPR001,RPR004
+            x = 1  # repro-lint: disable=RPR002,RPR104
             # repro-lint: disable-next=RPR002
             y = 2
             z = 3  # repro-lint: disable=all
             """
         )
     )
-    assert suppressed[2] == {"RPR001", "RPR004"}
+    assert suppressed[2] == {"RPR002", "RPR104"}
     assert suppressed[4] == {"RPR002"}
     assert suppressed[5] == {"all"}
 
@@ -59,7 +50,7 @@ def test_disable_all_suppresses_everything():
 
 def test_suppression_for_other_code_does_not_hide_finding():
     found = lint_source(
-        "import time\nt = time.time()  # repro-lint: disable=RPR001\n",
+        "import time\nt = time.time()  # repro-lint: disable=RPR104\n",
         path="src/repro/fake.py",
     )
     assert [f.code for f in found] == ["RPR002"]
@@ -86,74 +77,5 @@ def test_lint_paths_accepts_single_file(tmp_path):
     target = tmp_path / "hazard.py"
     target.write_text(HAZARD)
     found = lint_paths([str(target)])
-    assert [f.code for f in found] == ["RPR001"]
+    assert [f.code for f in found] == ["RPR002"]
     assert found[0].path == normalize_path(str(target))
-
-
-def test_baseline_round_trip(tmp_path):
-    target = tmp_path / "hazard.py"
-    target.write_text(HAZARD)
-    findings = lint_paths([str(target)])
-    assert findings
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(str(baseline_path), findings)
-    baseline = load_baseline(str(baseline_path))
-
-    # Same findings → fully grandfathered, nothing stale.
-    new, stale = apply_baseline(findings, baseline)
-    assert new == [] and stale == []
-
-    # Fix the hazard → the baseline entry goes stale.
-    target.write_text("import random\nRNG = random.Random\n")
-    new, stale = apply_baseline(lint_paths([str(target)]), baseline)
-    assert new == []
-    assert [e["code"] for e in stale] == ["RPR001"]
-
-    # A fresh hazard elsewhere is NOT grandfathered.
-    extra = Finding(
-        path="src/repro/other.py", line=3, col=0, code="RPR002",
-        rule="wall-clock", severity="error", message="m",
-    )
-    new, stale = apply_baseline(findings + [extra], baseline)
-    assert new == [extra]
-
-
-def test_load_baseline_rejects_malformed(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"version": 99, "findings": []}))
-    try:
-        load_baseline(str(bad))
-    except ValueError as exc:
-        assert "baseline" in str(exc)
-    else:
-        raise AssertionError("expected ValueError")
-
-
-def test_baseline_file_format_is_stable(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    finding = Finding(
-        path="src/repro/x.py", line=2, col=4, code="RPR001",
-        rule="global-rng", severity="error", message="msg",
-    )
-    write_baseline(str(baseline_path), [finding])
-    payload = json.loads(baseline_path.read_text())
-    assert payload == {
-        "version": 1,
-        "findings": [
-            {
-                "path": "src/repro/x.py",
-                "code": "RPR001",
-                "line": 2,
-                "message": "msg",
-            }
-        ],
-    }
-
-
-def test_checked_in_baseline_is_loadable_and_clean():
-    root = os.path.join(os.path.dirname(__file__), "..", "..")
-    baseline = load_baseline(os.path.join(root, "lint-baseline.json"))
-    # The initial lint run fixed every true positive instead of
-    # baselining it; keep it that way.
-    assert baseline["findings"] == []
