@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-json bench-cache bench-scale bench-lint overhead-check chaos spec-overhead-check report experiments experiments-quick examples clean
+.PHONY: install test lint bench bench-json bench-cache bench-scale bench-lint overhead-check chaos spec-overhead-check golden-check report experiments experiments-quick examples clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -73,6 +73,22 @@ chaos:
 # traced quick run-all (docs/SPEC.md "Overhead").
 spec-overhead-check:
 	$(PYTHON) benchmarks/spec_overhead_check.py --assert-pct 5
+
+# Read-only golden check: recompute every experiment render and both
+# fan-out digests at the committed seeds and compare them with
+# benchsuite/golden.json, which this never writes (`suite.py
+# update-golden` is its only writer).  Exits 1 on any mismatch.
+golden-check:
+	PYTHONPATH=$(CURDIR)/src:$(CURDIR)/benchsuite $(PYTHON) -c "import sys, workloads as w; \
+	want = w.load_golden(); got = w.golden_digests(want['seeds']); \
+	bad = [(part, name, seed) for part in ('experiments', 'fanout') \
+	       for name in sorted(set(want[part]) | set(got[part])) \
+	       for seed in range(want['seeds']) \
+	       if (want[part].get(name) or [None] * want['seeds'])[seed] \
+	       != (got[part].get(name) or [None] * want['seeds'])[seed]]; \
+	[print('MISMATCH', *row) for row in bad]; \
+	print('golden-check:', 'FAIL' if bad else 'ok', len(bad), 'mismatches'); \
+	sys.exit(1 if bad else 0)"
 
 # Cross-run regression report: diffs results/*/telemetry.json and the
 # BENCH_*.json history against the previous snapshot (docs/SPANS.md).

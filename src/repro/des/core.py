@@ -24,7 +24,10 @@ takes a few deliberate liberties with style (see docs/KERNEL.md,
 * process start schedules a bare pre-triggered :class:`Event` built the
   same way (the old ``Initialize`` bookkeeping subclass is gone);
 * :meth:`Environment.run` inlines the body of :meth:`Environment.step`
-  and binds hot globals/attributes to locals.
+  and binds hot globals/attributes to locals;
+* an event triggered with :meth:`Event.settle` (a channel's pull-mode
+  completion) is dispatched in place by the run loop when it would pop
+  next, and only otherwise pushed under the order it reserved.
 
 None of this changes scheduling order: entries still sort by
 ``(time, priority, insertion-order)`` with insertion-order assigned by
@@ -150,6 +153,27 @@ class Event:
         env._eid = eid = env._eid + 1
         _heappush(env._queue, (env._now, NORMAL, eid, self))
         return self
+
+    def settle(self, value: Any = None) -> None:
+        """Trigger successfully with ``value``, under the insertion order
+        :meth:`succeed` would give it, but leave the heap entry to the
+        run loop.
+
+        After the current event's callbacks, the loop dispatches the
+        event in place if nothing pending sorts before ``(now, NORMAL,
+        reserved order)``, and pushes it under that order otherwise, so
+        pop order is exactly that of :meth:`succeed`
+        (docs/KERNEL.md, "Channel service as callbacks").
+        """
+        if self._value is not PENDING:
+            raise SimulationError(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        env = self.env
+        if env._settling is not None:
+            env._flush_settling()
+        env._eid = eid = env._eid + 1
+        env._settling = (env._now, NORMAL, eid, self)
 
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state of another (for chaining)."""
@@ -456,6 +480,7 @@ class Environment:
         "_trace_kernel",
         "_profile",
         "_eid_noted",
+        "_settling",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -476,6 +501,9 @@ class Environment:
         self._profile = _obs.current_profiler()
         #: Events already credited to run telemetry (see _note_events).
         self._eid_noted = 0
+        #: The heap entry an :meth:`Event.settle` reserved in the
+        #: current batch, not yet pushed or dispatched (see _settled).
+        self._settling: Optional[tuple[float, int, int, Event]] = None
 
     @property
     def now(self) -> float:
@@ -591,12 +619,38 @@ class Environment:
         self._eid = eid = self._eid + 1
         _heappush(self._queue, (self._now + delay, priority, eid, event))
 
+    def _flush_settling(self) -> None:
+        """Push the reserved entry of a settled event under its order."""
+        _heappush(self._queue, self._settling)
+        self._settling = None
+
+    def _settled(self, stop_event: Optional[Event]) -> Optional[Event]:
+        """After a batch, the settled event to dispatch in place, if any.
+
+        That is only when the loop would pop it next: no pending entry
+        sorts before its reserved one and the awaited ``stop_event`` has
+        not fired.  Otherwise it is pushed under its reserved order.
+        """
+        entry = self._settling
+        self._settling = None
+        queue = self._queue
+        if (queue and queue[0] < entry) or (
+            stop_event is not None and stop_event.callbacks is None
+        ):
+            _heappush(queue, entry)
+            return None
+        return entry[3]
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._settling is not None:
+            return self._now
         return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
         """Process the single next event."""
+        if self._settling is not None:  # settled outside any batch
+            self._flush_settling()
         if not self._queue:
             raise SimulationError("no more events")
         when, _, _, event = _heappop(self._queue)
@@ -607,6 +661,9 @@ class Environment:
         event.callbacks = None
         for callback in callbacks:
             callback(event)
+        if self._settling is not None:
+            # One event per step: a settled event takes its heap entry.
+            self._flush_settling()
         if not event._ok and not event._defused:
             # A failure nobody waited on: surface it instead of losing it.
             raise event._value
@@ -616,7 +673,7 @@ class Environment:
         self._note_events()
 
     def _emit_fired(self, tr, when: float, event: Event) -> None:
-        """Trace one popped event (timer_fired for timeouts)."""
+        """Trace one dispatched event (timer_fired for timeouts)."""
         kind = type(event).__name__
         tr.emit(
             _KERNEL,
@@ -648,12 +705,14 @@ class Environment:
                 raise SimulationError(
                     f"until={stop_time} is in the past (now={self._now})"
                 )
+        if self._settling is not None:  # settled outside any batch
+            self._flush_settling()
 
         try:
             if self._profile is not None or self._trace_kernel:
                 # Profiling or kernel tracing on: the instrumented loop
                 # samples callback wall time and/or emits one record per
-                # popped event.  Scheduling order and timestamps are
+                # dispatched event.  Scheduling order and timestamps are
                 # identical to the fast loops — only clock reads and
                 # emits differ.
                 return self._run_instrumented(
@@ -668,17 +727,24 @@ class Environment:
             queue = self._queue
             pop = _heappop
 
+            # The inner loops dispatch a settled event in place (_settled).
             if stop_event is None and stop_time == _INF:
                 # Fast drain: no stop condition to re-check per event.
                 while queue:
                     when, _, _, event = pop(queue)
                     self._now = when
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
+                    while True:
+                        callbacks = event.callbacks
+                        event.callbacks = None
+                        for callback in callbacks:
+                            callback(event)
+                        if not event._ok and not event._defused:
+                            raise event._value
+                        if self._settling is None:
+                            break
+                        event = self._settled(None)
+                        if event is None:
+                            break
                 return None
 
             while queue:
@@ -689,15 +755,23 @@ class Environment:
                     return None
                 when, _, _, event = pop(queue)
                 self._now = when
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
+                while True:
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    for callback in callbacks:
+                        callback(event)
+                    if not event._ok and not event._defused:
+                        raise event._value
+                    if self._settling is None:
+                        break
+                    event = self._settled(stop_event)
+                    if event is None:
+                        break
 
             return self._finish(stop_event, stop_time)
         finally:
+            if self._settling is not None:
+                self._flush_settling()
             self._note_events()
 
     def _run_instrumented(
@@ -711,14 +785,16 @@ class Environment:
 
         ``prof`` is the profiler, or None: then the sampling countdown
         never reaches zero.  Every ``prof.sample_every``-th event's
-        callback batch is timed and credited to the resumed process's
-        generator name, to ``<owner type>.<method name>`` for a bound
-        method callback (``Channel._on_serviced``), or else to the event
-        type.  The countdown is a plain counter — no RNG, and no clock
-        reads outside the sampled window.  ``tr`` is the tracer when
-        kernel tracing is enabled, else None: each popped event is
-        emitted before its callbacks run.  Pop order, sim clock updates, and
-        stop handling stay byte-identical to the other loops.
+        callbacks are timed one by one, each credited to the resumed
+        process's generator name, to ``<owner type>.<method name>`` for
+        a bound method callback (``Channel._on_serviced``), or else to
+        the event type.  An event dispatched in place (``_settled``)
+        counts as an event of its own.  The countdown is a plain counter
+        — no RNG, and no clock reads outside the sampled window.  ``tr``
+        is the tracer when kernel tracing is enabled, else None: each
+        dispatched event is emitted before its callbacks run.  Pop
+        order, sim clock updates, and stop handling stay byte-identical
+        to the other loops.
         """
         queue = self._queue
         pop = _heappop
@@ -740,31 +816,36 @@ class Environment:
                     return None
                 when, _, _, event = pop(queue)
                 self._now = when
-                if tr is not None:
-                    emit_fired(tr, when, event)
-                callbacks = event.callbacks
-                event.callbacks = None
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = sample
-                    start = perf()  # repro-lint: disable=RPR002
-                    for callback in callbacks:
-                        callback(event)
-                    elapsed = perf() - start  # repro-lint: disable=RPR002
-                    callback = callbacks[0] if callbacks else None
-                    owner = getattr(callback, "__self__", None)
-                    if type(owner) is Process:
-                        key = getattr(owner._generator, "__name__", "?")
-                    elif owner is not None:
-                        key = f"{type(owner).__name__}.{callback.__name__}"
+                while True:
+                    if tr is not None:
+                        emit_fired(tr, when, event)
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    countdown -= 1
+                    if countdown <= 0:
+                        countdown = sample
+                        for callback in callbacks:
+                            start = perf()  # repro-lint: disable=RPR002
+                            callback(event)
+                            elapsed = perf() - start  # repro-lint: disable=RPR002
+                            owner = getattr(callback, "__self__", None)
+                            if type(owner) is Process:
+                                key = getattr(owner._generator, "__name__", "?")
+                            elif owner is not None:
+                                key = f"{type(owner).__name__}.{callback.__name__}"
+                            else:
+                                key = type(event).__name__
+                            account(key, elapsed)
                     else:
-                        key = type(event).__name__
-                    account(key, elapsed)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
+                        for callback in callbacks:
+                            callback(event)
+                    if not event._ok and not event._defused:
+                        raise event._value
+                    if self._settling is None:
+                        break
+                    event = self._settled(stop_event)
+                    if event is None:
+                        break
             return self._finish(stop_event, stop_time)
         finally:
             # Persist the countdown so sampling continues seamlessly

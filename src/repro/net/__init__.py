@@ -1,11 +1,11 @@
-"""Network substrate: packets, loss models, links, and channels.
+"""Network substrate: packets, loss models and channels.
 
 The paper models the network as a lossy FIFO server with a given service
 rate (the "session bandwidth") and an average per-transmission loss
 probability.  This package provides that channel plus richer building
-blocks (propagation-delay links, bursty Gilbert-Elliott loss, multicast
-fan-out with independent per-receiver loss, and a duplex path for
-feedback traffic) so protocol variants and SSTP can be simulated
+blocks (a propagation delay after service, bursty Gilbert-Elliott loss,
+multicast fan-out with independent per-receiver loss, and a duplex path
+for feedback traffic) so protocol variants and SSTP can be simulated
 end-to-end.
 """
 
@@ -20,7 +20,6 @@ from repro.net.loss import (
     TotalLoss,
     TraceLoss,
 )
-from repro.net.link import Link
 from repro.net.channel import Channel, DuplexPath, MulticastChannel
 from repro.net.capture import CaptureRecord, PacketCapture
 
@@ -32,7 +31,6 @@ __all__ = [
     "DeterministicLoss",
     "DuplexPath",
     "GilbertElliottLoss",
-    "Link",
     "LossModel",
     "MulticastChannel",
     "NoLoss",

@@ -72,10 +72,9 @@ class PacketCapture:
             return
         # Stamp the *service* time (when the packet hit the wire), not
         # the enqueue time: rate series must reflect the channel clock.
-        when = self._env.now if self._env is not None else packet.created_at
         self.records.append(
             CaptureRecord(
-                time=when,
+                time=self._env.now,
                 kind=packet.kind,
                 seq=packet.seq,
                 size_bits=packet.size_bits,

@@ -31,13 +31,11 @@ class _FifoServer:
     """The FIFO server both channel kinds share: queue and service timer.
 
     It runs as kernel callbacks, with no process: an urgent start entry
-    at construction, a dequeue entry at ``now`` when a packet is taken
-    into service, and the service timer, whose callback serves the
-    packet and takes the next step.  These are the heap entries a server
-    process blocked on a ``Store`` would push, at the same points, so
-    seeded runs keep their event order (docs/KERNEL.md, "Performance").
-    The dequeue entry and the timer stay separate events: merging them
-    would reorder same-time ties.
+    at construction, then one heap entry per service, the timer armed
+    when a packet is taken into service.  Its callback serves the
+    packet, settles a pull-mode sender's completion in place
+    (:meth:`Event.settle`) and takes the next step.  Seeded runs keep
+    their event order (docs/KERNEL.md, "Channel service as callbacks").
     """
 
     def __init__(self, env: Environment, rate_kbps: float) -> None:
@@ -60,7 +58,6 @@ class _FifoServer:
 
     def send(self, packet: Packet) -> None:
         """Enqueue ``packet``; the caller is never blocked."""
-        packet.created_at = self.env.now
         tr = self.env._trace
         if tr is not None and tr.packet:
             tr.emit(
@@ -78,7 +75,8 @@ class _FifoServer:
             self._waiting.append(packet)
         else:
             self._busy = True
-            self._dequeue(packet)
+            timer = self.env.timeout(self.service_time(packet), packet)
+            timer.callbacks.append(self._on_serviced)
 
     def on_serviced(self, hook: Callable[[Packet, Any], None]) -> None:
         """Register ``hook(packet, outcome)`` called after every service;
@@ -107,22 +105,12 @@ class _FifoServer:
         return packet.size_bits / (self.rate_kbps * 1000.0)
 
     # -- internals ----------------------------------------------------------
-    def _dequeue(self, packet: Packet) -> None:
-        """Take ``packet`` into service: a dequeue entry at ``now``."""
-        event = Event(self.env)
-        event.callbacks.append(self._start)
-        event.succeed(packet)
-
-    def _start(self, event: Event) -> None:
-        """Arm the service timer for the dequeued packet."""
-        packet = event._value
-        timer = self.env.timeout(self.service_time(packet), packet)
-        timer.callbacks.append(self._on_serviced)
-
     def _next(self, _event: Optional[Event] = None) -> None:
-        """Take the next waiting packet into service, or go idle."""
+        """Arm the service timer for the next waiting packet, or go idle."""
         if self._waiting:
-            self._dequeue(self._waiting.popleft())
+            packet = self._waiting.popleft()
+            timer = self.env.timeout(self.service_time(packet), packet)
+            timer.callbacks.append(self._on_serviced)
         else:
             self._busy = False
 
@@ -132,7 +120,7 @@ class _FifoServer:
             hook(packet, outcome)
         completion = self._completions.pop(packet.uid, None)
         if completion is not None:
-            completion.succeed(outcome)
+            completion.settle(outcome)
 
 
 class Channel(_FifoServer):

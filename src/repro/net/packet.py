@@ -52,8 +52,6 @@ class Packet:
     seq:
         Sender-assigned sequence number, used by receivers for loss
         detection (ALF ADUs; no ordering is enforced on delivery).
-    created_at:
-        Simulation time the packet was handed to the channel.
     size_bits:
         Size on the wire; defaults to :data:`PACKET_BITS`.
     """
@@ -62,7 +60,6 @@ class Packet:
     key: Optional[Any] = None
     payload: Any = None
     seq: Optional[int] = None
-    created_at: float = 0.0
     size_bits: int = PACKET_BITS
     uid: int = field(default_factory=lambda: next(_packet_ids))
 
@@ -82,7 +79,6 @@ class Packet:
         clone.key = self.key
         clone.payload = self.payload
         clone.seq = self.seq
-        clone.created_at = self.created_at
         clone.size_bits = self.size_bits
         clone.uid = next(_packet_ids)
         return clone

@@ -1,4 +1,4 @@
-"""Unit tests for links and lossy channels."""
+"""Unit tests for lossy channels."""
 
 import random
 
@@ -10,50 +10,50 @@ from repro.net import (
     Channel,
     DeterministicLoss,
     DuplexPath,
-    Link,
     MulticastChannel,
     NoLoss,
     Packet,
 )
 
 
-def test_link_serializes_at_rate():
+def test_channel_serializes_at_rate():
     env = Environment()
-    link = Link(env, rate_kbps=1.0)  # 1 kbps -> 1 s per 1000-bit packet
+    channel = Channel(env, rate_kbps=1.0)  # 1 kbps -> 1 s per 1000-bit packet
     arrivals = []
-    link.subscribe(lambda p: arrivals.append(env.now))
-    link.send(Packet())
-    link.send(Packet())
+    channel.subscribe(lambda p: arrivals.append(env.now))
+    channel.send(Packet())
+    channel.send(Packet())
     env.run(until=10.0)
     assert arrivals == [1.0, 2.0]
 
 
-def test_link_propagation_delay_adds_latency():
+def test_channel_propagation_delay_adds_latency():
     env = Environment()
-    link = Link(env, rate_kbps=1.0, delay=0.5)
+    channel = Channel(env, rate_kbps=1.0, delay=0.5)
     arrivals = []
-    link.subscribe(lambda p: arrivals.append(env.now))
-    link.send(Packet())
+    channel.subscribe(lambda p: arrivals.append(env.now))
+    channel.send(Packet())
     env.run(until=5.0)
     assert arrivals == [1.5]
 
 
-def test_link_infinite_rate_is_delay_only():
+def test_channel_infinite_rate_is_delay_only():
     env = Environment()
-    link = Link(env, rate_kbps=float("inf"), delay=2.0)
+    channel = Channel(env, rate_kbps=float("inf"), delay=2.0)
     arrivals = []
-    link.subscribe(lambda p: arrivals.append(env.now))
-    link.send(Packet())
+    channel.subscribe(lambda p: arrivals.append(env.now))
+    channel.send(Packet())
+    channel.send(Packet())
     env.run(until=5.0)
-    assert arrivals == [2.0]
+    assert arrivals == [2.0, 2.0]
 
 
-def test_link_rejects_bad_parameters():
+def test_channel_rejects_bad_parameters():
     env = Environment()
     with pytest.raises(ValueError):
-        Link(env, rate_kbps=0)
+        Channel(env, rate_kbps=0)
     with pytest.raises(ValueError):
-        Link(env, rate_kbps=1.0, delay=-1.0)
+        Channel(env, rate_kbps=1.0, delay=-1.0)
 
 
 def test_channel_delivers_in_fifo_order():

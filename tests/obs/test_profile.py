@@ -5,6 +5,7 @@ from repro.net import Channel, Packet
 from repro.obs import runtime as _obs
 from repro.obs.profile import Profiler, ProfilingSink, profile_enabled
 from repro.obs.trace import RingBufferSink
+from repro.protocols import TwoQueueSession
 
 
 def _two_process_scenario():
@@ -56,9 +57,45 @@ def test_bare_callbacks_keyed_by_owner_type_and_method():
             channel.send(Packet())
         env.run()
     assert profiler.processes["Channel._on_serviced"][0] == 5
-    assert profiler.processes["Channel._start"][0] == 5
+    assert profiler.processes["Channel._next"][0] == 1  # the start entry
     assert "Timeout" not in profiler.processes
     assert "Event" not in profiler.processes
+
+
+def test_each_callback_of_a_sampled_event_is_keyed_on_its_own():
+    profiler = Profiler(sample_every=1)
+    with _obs.profiling(profiler):
+        env = Environment()
+        shared = env.timeout(1.0)
+
+        def first(env):
+            yield shared
+
+        def second(env):
+            yield shared
+
+        env.process(first(env))
+        env.process(second(env))
+        env.run()
+    # One start entry each, then one resume each off the shared timer.
+    assert profiler.processes["first"][0] == 2
+    assert profiler.processes["second"][0] == 2
+
+
+def test_settled_sender_resume_keyed_by_its_generator():
+    # A pull-mode completion is dispatched in place by the kernel, not
+    # from inside the channel's callback: the sender's resume stays
+    # under its own generator name, about once per announcement.
+    profiler = Profiler(sample_every=1)
+    with _obs.profiling(profiler):
+        session = TwoQueueSession(
+            data_kbps=50.0, loss_rate=0.1, update_rate=1.0, seed=1
+        )
+        session.run(20.0)
+    sent = session.data_channel.packets_sent
+    assert sent > 500
+    assert profiler.processes["Channel._on_serviced"][0] == sent
+    assert sent <= profiler.processes["_sender_loop"][0] <= sent * 1.05
 
 
 def test_sampling_reduces_accounted_calls():
