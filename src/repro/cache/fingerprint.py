@@ -13,7 +13,10 @@ parsed with :mod:`ast` and every ``import``/``from ... import`` of an
 in-scope module is followed, including imports inside function bodies
 (the repo's lazy-import idiom).  Static discovery keeps fingerprinting
 independent of import side effects and lets the closure be computed
-without executing anything.
+without executing anything.  An import is always a statement, so the
+scan visits statement lists only, never expressions; each source is
+scanned once per process, keyed by its content, so a module shared by
+many closures is parsed once however many cells it serves.
 
 Conservatism cuts the safe way: a module that is imported but unused
 still invalidates (spurious recompute, never a stale hit), while
@@ -24,9 +27,10 @@ cache schema version instead of being hashed.
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import importlib.util
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "clear_fingerprint_cache",
@@ -37,13 +41,21 @@ __all__ = [
 #: Module-name prefixes whose sources participate in fingerprints.
 DEFAULT_PREFIXES: Tuple[str, ...] = ("repro",)
 
+#: The fields of an AST node that hold statement lists; an import is
+#: always a statement, so the scan descends through these alone.
+_STATEMENT_LISTS = ("body", "orelse", "finalbody", "handlers", "cases")
+
 #: Per-process memo: (module, prefixes) -> fingerprint hex digest.
 _fingerprints: Dict[Tuple[str, Tuple[str, ...]], str] = {}
+#: Per-process memo: (module, is_package, source SHA-256) -> imports.
+_imports: Dict[Tuple[str, bool, bytes], Tuple[str, ...]] = {}
 
 
 def clear_fingerprint_cache() -> None:
-    """Forget computed fingerprints (tests that rewrite sources)."""
+    """Forget computed fingerprints, paths and scans (sources rewritten)."""
     _fingerprints.clear()
+    _source_path.cache_clear()
+    _imports.clear()
 
 
 def _in_scope(name: str, prefixes: Sequence[str]) -> bool:
@@ -52,6 +64,7 @@ def _in_scope(name: str, prefixes: Sequence[str]) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _source_path(module: str) -> Optional[str]:
     """The module's source file, or ``None`` (builtins, namespaces)."""
     try:
@@ -63,17 +76,36 @@ def _source_path(module: str) -> Optional[str]:
     return spec.origin if spec.origin.endswith(".py") else None
 
 
+def _import_statements(tree: ast.Module) -> Iterator[ast.stmt]:
+    """Every import statement in ``tree``, expressions left unvisited."""
+    pending: List[ast.AST] = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        else:
+            for field in _STATEMENT_LISTS:
+                pending.extend(getattr(node, field, ()))
+
+
 def _imported_modules(
     source: bytes, module: str, is_package: bool
-) -> Iterator[str]:
+) -> Tuple[str, ...]:
     """Every module name ``module``'s source imports, relative resolved."""
+    key = (module, is_package, hashlib.sha256(source).digest())
+    if key not in _imports:
+        _imports[key] = tuple(_scan(source, module, is_package))
+    return _imports[key]
+
+
+def _scan(source: bytes, module: str, is_package: bool) -> Iterator[str]:
     try:
         tree = ast.parse(source)
     except SyntaxError:
         return
     # The package that relative imports resolve against.
     package_parts = module.split(".") if is_package else module.split(".")[:-1]
-    for node in ast.walk(tree):
+    for node in _import_statements(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name
@@ -130,7 +162,9 @@ def code_fingerprint(
 
     Memoized per process: the closure of an experiment module is stable
     for the lifetime of a run, and recomputing it per cell would cost
-    more than the cells themselves for analytic grids.
+    more than the cells themselves for analytic grids.  Below that memo,
+    each module name is resolved to its path once and each source is
+    scanned once, so experiments that share modules share their scans.
     """
     memo_key = (module, tuple(prefixes))
     cached = _fingerprints.get(memo_key)

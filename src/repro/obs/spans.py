@@ -575,7 +575,13 @@ class SpanBuilder:
                 span.fields["target_kind"] = target[0]
                 span.fields["requests"] = 0
             else:
-                self._repair_stack.remove(span)
+                # By identity, from the top: ``list.remove`` would
+                # compare the stacked dataclasses field by field.
+                stack = self._repair_stack
+                for index in range(len(stack) - 1, -1, -1):
+                    if stack[index] is span:
+                        del stack[index]
+                        break
             self._close(span, t, "repaired")
             span.fields["repair_s"] = span.duration()
             self._closed_repairs[target] = span

@@ -1,12 +1,15 @@
 """Static import-closure discovery and code-fingerprint invalidation."""
 
+import ast
 import importlib
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.cache.fingerprint import (
+    _import_statements,
     clear_fingerprint_cache,
     code_fingerprint,
     module_closure,
@@ -141,3 +144,125 @@ def test_fingerprint_shape_and_stability():
     assert len(first) == 64 and set(first) <= set("0123456789abcdef")
     assert code_fingerprint("repro.experiments.figure3") == first
     assert first != code_fingerprint("repro.experiments.figure8")
+
+
+#: One import per statement context; ``{m}`` is the imported module.
+STATEMENT_CONTEXTS = {
+    "module": "import {pkg}.{m}",
+    "def": "def f():\n    from {pkg} import {m}",
+    "async_def": "async def f():\n    from {pkg} import {m}",
+    "class": "class C:\n    from {pkg} import {m}",
+    "if": "if X:\n    from {pkg} import {m}",
+    "elif": "if X:\n    pass\nelif Y:\n    from {pkg} import {m}",
+    "else": "if X:\n    pass\nelse:\n    from {pkg} import {m}",
+    "for": "for _ in X:\n    from {pkg} import {m}",
+    "for_else": "for _ in X:\n    pass\nelse:\n    from {pkg} import {m}",
+    "while": "while X:\n    from {pkg} import {m}",
+    "while_else": "while X:\n    pass\nelse:\n    from {pkg} import {m}",
+    "try": "try:\n    from {pkg} import {m}\nexcept E:\n    pass",
+    "except": "try:\n    pass\nexcept E:\n    from {pkg} import {m}",
+    "try_else": (
+        "try:\n    pass\nexcept E:\n    pass\nelse:\n    from {pkg} import {m}"
+    ),
+    "finally": "try:\n    pass\nfinally:\n    from {pkg} import {m}",
+    "with": "with X:\n    from {pkg} import {m}",
+    "async_with": (
+        "async def g():\n    async with X:\n        from {pkg} import {m}"
+    ),
+    "match": "match X:\n    case 1:\n        from {pkg} import {m}",
+}
+if sys.version_info >= (3, 11):
+    STATEMENT_CONTEXTS["try_star"] = (
+        "try:\n    from {pkg} import {m}\nexcept* E:\n    pass"
+    )
+    STATEMENT_CONTEXTS["except_star"] = (
+        "try:\n    pass\nexcept* E:\n    from {pkg} import {m}"
+    )
+
+
+def test_closure_finds_imports_in_every_statement_context(temp_package):
+    blocks = []
+    for context, template in STATEMENT_CONTEXTS.items():
+        (temp_package / f"ctx_{context}.py").write_text("")
+        blocks.append(template.format(pkg=PKG, m=f"ctx_{context}"))
+    (temp_package / "contexts.py").write_text("\n\n".join(blocks) + "\n")
+    closure = module_closure(f"{PKG}.contexts", prefixes=(PKG,))
+    missing = {
+        context
+        for context in STATEMENT_CONTEXTS
+        if f"{PKG}.ctx_{context}" not in closure
+    }
+    assert not missing
+
+
+def test_statement_scan_matches_full_walk_on_repro_sources():
+    import repro
+
+    root = Path(repro.__file__).parent
+    sources = sorted(root.rglob("*.py"))
+    assert len(sources) > 100
+    for path in sources:
+        tree = ast.parse(path.read_bytes())
+        walked = {
+            id(node)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+        scanned = [id(node) for node in _import_statements(tree)]
+        assert len(scanned) == len(set(scanned)), path
+        assert set(scanned) == walked, path
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The sources ``ast.parse`` is handed, in call order."""
+    seen = []
+    parse = ast.parse
+
+    def counting(source, *args, **kwargs):
+        seen.append(source)
+        return parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting)
+    return seen
+
+
+def test_shared_module_is_parsed_once(temp_package, parses):
+    (temp_package / "delta.py").write_text(f"from {PKG} import beta\n")
+    code_fingerprint(f"{PKG}.alpha", prefixes=(PKG,))
+    code_fingerprint(f"{PKG}.delta", prefixes=(PKG,))
+    beta = (temp_package / "beta.py").read_bytes()
+    assert parses.count(beta) == 1
+    # alpha, beta, gamma and the package; then delta alone.
+    assert len(parses) == 5
+
+
+def test_warm_experiments_parse_each_closure_source_once(parses):
+    # The experiments the benchmark suite's ``warm`` workload re-reads.
+    roots = [
+        f"repro.experiments.{name}"
+        for name in ("figure8", "ext_convergence", "ext_resilience", "figure10")
+    ]
+    clear_fingerprint_cache()
+    union = set()
+    for root in roots:
+        union |= set(module_closure(root))
+    clear_fingerprint_cache()
+    del parses[:]
+    try:
+        for root in roots:
+            code_fingerprint(root)
+    finally:
+        clear_fingerprint_cache()
+    assert len(parses) == len(union)
+
+
+def test_rewritten_source_is_rescanned_after_clear(temp_package):
+    closure = module_closure(f"{PKG}.alpha", prefixes=(PKG,))
+    assert f"{PKG}.orphan" not in closure
+    (temp_package / "beta.py").write_text(
+        f"from {PKG} import orphan\n\n\ndef double(x):\n    return 2 * x\n"
+    )
+    clear_fingerprint_cache()
+    closure = module_closure(f"{PKG}.alpha", prefixes=(PKG,))
+    assert f"{PKG}.orphan" in closure

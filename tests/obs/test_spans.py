@@ -15,8 +15,9 @@ import json
 
 from repro.obs import runtime as _obs
 from repro.obs.fold import Stream, replay, replay_file
-from repro.obs.spans import SpanBuilder, SpanSink
-from repro.obs.trace import RingBufferSink
+from repro.obs.spans import Span, SpanBuilder, SpanSink
+from repro.obs.trace import RingBufferSink, Tracer
+from repro.protocols import FeedbackSession
 
 
 def _spans(records, dropped=0):
@@ -124,6 +125,33 @@ def test_repair_chain_depth_and_duplicate_service():
     assert duplicate.fields.get("duplicate") is True
     assert duplicate.parent_id == original.span_id
     assert not duplicate.truncated
+
+
+def test_repair_spans_close_by_identity(monkeypatch):
+    # Repairs close out of request order in a lossy feedback session,
+    # so a value-based removal from the open-repair stack would compare
+    # Span dataclasses; the fold must never need to.
+    def no_compare(self, other):
+        raise AssertionError("Span.__eq__ called while folding")
+
+    monkeypatch.setattr(Span, "__eq__", no_compare)
+    sink = SpanSink(RingBufferSink(capacity=None))
+    tracer = Tracer(sink)
+    with _obs.tracing(tracer):
+        FeedbackSession(
+            data_kbps=50.0,
+            feedback_kbps=8.0,
+            loss_rate=0.3,
+            update_rate=1.0,
+            seed=3,
+        ).run(90.0)
+    tracer.close()
+    report = sink.finalize()
+    repaired = [
+        s for s in report.spans if s.kind == "repair" and s.status == "repaired"
+    ]
+    assert len(repaired) > 20
+    assert report.reconciliation()["reconciled"]
 
 
 def test_cell_start_partitions_and_closes_open_spans():
