@@ -5,11 +5,10 @@ render, registry and fault-matrix digests, ``repro check`` and the
 chaos smoke are the oracle.  This package keeps only the rules that
 catch a defect none of those see, each justified by a real-code mutant
 pinned in ``tests/lint/test_pinned_mutants.py``: a wall-clock read
-(RPR002), iteration over a hash-salted set (RPR004), an unguarded
-kernel trace emit (RPR005), and a cached solver or cell that reads
-state outside its cache key (RPR104, a whole-program check).  One pass
-runs them all, using only the standard library (``ast`` +
-``tokenize``).
+(RPR002), iteration over a hash-salted set (RPR004), and a cached
+solver or cell that reads state outside its cache key (RPR104, a
+whole-program check).  One pass runs them all, using only the standard
+library (``ast`` + ``tokenize``).
 
 Public surface::
 

@@ -1,9 +1,9 @@
 """File walking, parsing, suppression handling, and rule dispatch.
 
 The engine parses each file once, extracts inline suppressions from the
-token stream, runs every registered per-file rule whose path scope
-matches, then runs the whole-program rules over the same parsed files,
-and returns the surviving findings sorted by location.
+token stream, runs every registered per-file rule, then runs the
+whole-program rules over the same parsed files, and returns the
+surviving findings sorted by location.
 
 Suppression syntax (checked against the comment tokens, so it works on
 any physical line, including inside expressions)::
@@ -128,7 +128,7 @@ def _check_rules(
         if wanted is not None and code not in wanted:
             continue
         rule = RULES[code]()
-        if rule.whole_program or not rule.applies(ctx.path):
+        if rule.whole_program:
             continue
         for finding in rule.check(ctx):
             if not _is_suppressed(finding, suppressions):

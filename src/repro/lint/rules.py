@@ -1,12 +1,12 @@
-"""The rule pack: the registry plus the four rules the mutation audit kept.
+"""The rule pack: the registry plus the rules the mutation audit kept.
 
 Each rule is a class with a unique ``code``, a short ``name``, a
-``severity``, an optional path scope (``applies``), and either a
-``check`` method that yields :class:`~repro.lint.findings.Finding`
-objects for one parsed file, or — for a ``whole_program`` rule — a
-``check_program`` method over every linted file at once.  Per-file
-rules receive a :class:`FileContext` (the parsed AST plus import tables
-and a parent map), so individual rules stay small.
+``severity``, and either a ``check`` method that yields
+:class:`~repro.lint.findings.Finding` objects for one parsed file, or —
+for a ``whole_program`` rule — a ``check_program`` method over every
+linted file at once.  Per-file rules receive a :class:`FileContext`
+(the parsed AST plus import tables and a parent map), so individual
+rules stay small.
 
 Adding a rule: subclass :class:`Rule`, decorate with
 :func:`register`, document the code in docs/LINT.md (a meta-test
@@ -95,24 +95,6 @@ class FileContext:
             return None
         return ".".join([resolved] + list(reversed(parts)))
 
-    # -- structural helpers ------------------------------------------------
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        seen = node
-        while seen in self.parents:
-            seen = self.parents[seen]
-            yield seen
-
-
-def _identifiers(node: ast.AST) -> Set[str]:
-    """All Name ids and Attribute attrs appearing under ``node``."""
-    found: Set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            found.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
-    return found
-
 
 def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
     """Walk a function body without descending into nested defs."""
@@ -133,18 +115,10 @@ class Rule:
     code: str = ""
     name: str = ""
     severity: str = "error"
-    #: substrings of the posix path this rule is restricted to
-    #: (empty = applies everywhere the engine lints)
-    path_scope: Tuple[str, ...] = ()
     #: A whole-program rule sees every linted file at once through
     #: ``check_program`` (a :class:`repro.lint.deep.graph.Program`)
     #: instead of one file at a time through ``check``.
     whole_program = False
-
-    def applies(self, path: str) -> bool:
-        if not self.path_scope:
-            return True
-        return any(fragment in path for fragment in self.path_scope)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         raise NotImplementedError
@@ -348,80 +322,6 @@ class UnsortedSetIterationRule(Rule):
                     "iteration over a set without sorted(): set order is "
                     "process-dependent and breaks jobs=1 vs jobs=N "
                     "byte-identical results",
-                )
-
-
-@register
-class UnguardedTraceEmitRule(Rule):
-    """RPR005: tracer emits in hot paths without the precomputed guard.
-
-    The < 3% disabled-overhead CI gate holds only because every kernel
-    and channel emit sits behind a precomputed bool
-    (``env._trace_kernel``, ``tr is not None and tr.packet``, a hoisted
-    ``trace_*`` local) — one load and one jump when tracing is off.  An
-    unguarded ``*.emit(...)`` pays argument construction on every event.
-    A tracer received as a function parameter counts as guarded: the
-    caller hoisted the check (e.g. ``Environment._run_instrumented``).
-    """
-
-    code = "RPR005"
-    name = "unguarded-trace-emit"
-    severity = "error"
-    path_scope = ("repro/des/", "repro/net/")
-
-    def _receiver_token(self, func: ast.Attribute) -> Optional[str]:
-        value = func.value
-        if isinstance(value, ast.Name):
-            return value.id
-        if isinstance(value, ast.Attribute):
-            return value.attr
-        return None
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute) and func.attr == "emit"
-            ):
-                continue
-            token = self._receiver_token(func)
-            guarded = False
-            for ancestor in ctx.ancestors(node):
-                if isinstance(
-                    ancestor,
-                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda),
-                ):
-                    # Injected-tracer contract: a parameter named like
-                    # the receiver means the caller holds the guard.
-                    args = getattr(ancestor, "args", None)
-                    if args is not None and token is not None:
-                        params = {
-                            a.arg
-                            for a in (
-                                args.posonlyargs + args.args + args.kwonlyargs
-                            )
-                        }
-                        if token in params:
-                            guarded = True
-                    break
-                if not isinstance(ancestor, (ast.If, ast.IfExp)):
-                    continue
-                idents = _identifiers(ancestor.test)
-                if token is not None and token in idents:
-                    guarded = True
-                    break
-                if any("trace" in ident for ident in idents):
-                    guarded = True
-                    break
-            if not guarded:
-                yield self.finding(
-                    ctx,
-                    node,
-                    "tracer emit not dominated by a precomputed trace-flag "
-                    "check (e.g. 'if env._trace_kernel:'); hot-path hooks "
-                    "must cost one load + one jump when tracing is off",
                 )
 
 

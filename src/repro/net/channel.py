@@ -10,8 +10,9 @@ reverse feedback channel.
 Multicast fan-out (docs/KERNEL.md, "Multicast fan-out"): the hot loop
 walks a dense dispatch registry — one row per receiver that can be
 delivered to, with its loss draw pre-bound — rebuilt only on
-join/leave/block churn.  Seeded outputs are pinned by golden digests
-(``tests/net/test_fanout.py`` and ``benchsuite/golden.json``).
+join/leave/block churn.  Every surviving receiver gets the serviced
+packet object itself, not a copy.  Seeded outputs are pinned by golden
+digests (``tests/net/test_fanout.py`` and ``benchsuite/golden.json``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ class _FifoServer:
     packet, settles a pull-mode sender's completion in place
     (:meth:`Event.settle`) and takes the next step.  Seeded runs keep
     their event order (docs/KERNEL.md, "Channel service as callbacks").
+
+    A :meth:`transmit` completion travels with its packet: each queue
+    slot is a ``(packet, completion)`` pair (``None`` for a plain
+    :meth:`send`), and the one in service sits in ``_serving``.  The
+    same packet object may therefore be queued twice, each with its
+    own completion.
     """
 
     def __init__(self, env: Environment, rate_kbps: float) -> None:
@@ -46,18 +53,22 @@ class _FifoServer:
         #: Per-cell label for this channel's trace rows (never fed back
         #: into the simulation).
         self.chan = _obs.next_trace_label("c")
-        self._waiting: deque[Packet] = deque()
+        self._waiting: deque[tuple[Packet, Optional[Event]]] = deque()
+        self._serving: Optional[Event] = None
         self._busy = True  # until the start entry pops
         self._serviced_hooks: list[Callable[[Packet, Any], None]] = []
-        self._completions: Dict[int, Event] = {}
         self.packets_sent = 0
         start = Event(env)
         start.callbacks.append(self._next)
         start._ok, start._value = True, None
         env._schedule(start, URGENT, 0.0)
 
-    def send(self, packet: Packet) -> None:
-        """Enqueue ``packet``; the caller is never blocked."""
+    def send(self, packet: Packet, completion: Optional[Event] = None) -> None:
+        """Enqueue ``packet``; the caller is never blocked.
+
+        ``completion``, if given, is settled with the loss outcome when
+        this packet's service ends (:meth:`transmit` passes one).
+        """
         tr = self.env._trace
         if tr is not None and tr.packet:
             tr.emit(
@@ -72,9 +83,10 @@ class _FifoServer:
                 chan=self.chan,
             )
         if self._busy:
-            self._waiting.append(packet)
+            self._waiting.append((packet, completion))
         else:
             self._busy = True
+            self._serving = completion
             timer = self.env.timeout(self.service_time(packet), packet)
             timer.callbacks.append(self._on_serviced)
 
@@ -92,8 +104,7 @@ class _FifoServer:
         senders keep their own hot/cold queues authoritative.
         """
         done = self.env.event()
-        self._completions[packet.uid] = done
-        self.send(packet)
+        self.send(packet, done)
         return done
 
     @property
@@ -108,7 +119,7 @@ class _FifoServer:
     def _next(self, _event: Optional[Event] = None) -> None:
         """Arm the service timer for the next waiting packet, or go idle."""
         if self._waiting:
-            packet = self._waiting.popleft()
+            packet, self._serving = self._waiting.popleft()
             timer = self.env.timeout(self.service_time(packet), packet)
             timer.callbacks.append(self._on_serviced)
         else:
@@ -118,8 +129,9 @@ class _FifoServer:
         """Run the serviced hooks, then wake a pull-mode sender."""
         for hook in self._serviced_hooks:
             hook(packet, outcome)
-        completion = self._completions.pop(packet.uid, None)
+        completion = self._serving
         if completion is not None:
+            self._serving = None
             completion.settle(outcome)
 
 
@@ -435,10 +447,13 @@ class MulticastChannel(_FifoServer):
     def _fanout(self, packet: Packet, tr) -> Dict[Any, bool]:
         """Draw every receiver's loss and deliver to the survivors.
 
-        Rows are evaluated in join order, so each loss model sees its
-        draws in the same order as a plain per-receiver ``is_lost()``
-        loop would; an upstream loss short-circuits every per-receiver
-        draw.  ``tr`` is the tracer when packet tracing is on, else None.
+        Every surviving sink receives ``packet`` itself, now or after
+        ``delay``: no sink writes to a packet, so nothing is copied per
+        receiver.  Rows are evaluated in join order, so each loss model
+        sees its draws in the same order as a plain per-receiver
+        ``is_lost()`` loop would; an upstream loss short-circuits every
+        per-receiver draw.  ``tr`` is the tracer when packet tracing is
+        on, else None.
         """
         registry = self._registry
         if registry is None:
@@ -447,7 +462,6 @@ class MulticastChannel(_FifoServer):
             return registry.template.copy()
         outcomes = registry.pass_template.copy()
         record_hit = self._delivery_hits.append
-        copy_for = packet.copy_for
         delayed = self.delay > 0
         for kind, a, b, receiver_id, sink in registry.rows:
             if kind == _BERNOULLI:
@@ -459,7 +473,6 @@ class MulticastChannel(_FifoServer):
                     outcomes[receiver_id] = True
                     continue
             record_hit(receiver_id)
-            delivery = copy_for(receiver_id)
             if tr is not None:
                 tr.emit(
                     _PACKET,
@@ -472,9 +485,9 @@ class MulticastChannel(_FifoServer):
                     chan=self.chan,
                 )
             if delayed:
-                self.env.process(self._deliver_after(delivery, sink))
+                self.env.process(self._deliver_after(packet, sink))
             else:
-                sink(delivery)
+                sink(packet)
         return outcomes
 
     def _build_registry(self) -> _FanoutRegistry:

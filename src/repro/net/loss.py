@@ -42,16 +42,6 @@ class LossModel:
         """Long-run fraction of transmissions dropped."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Return to the construction-time state, exactly.
-
-        Stateful models rewind everything that affects future draws:
-        trace position, chain state, and the rng sequence itself.  This
-        is what lets a fault overlay (``repro.faults.LossEpisode``) put
-        a channel's original model back untouched.  Note that a model
-        sharing its rng with other consumers rewinds that shared stream.
-        """
-
 
 class NoLoss(LossModel):
     """A perfect channel."""
@@ -83,7 +73,6 @@ class BernoulliLoss(LossModel):
             raise ValueError(f"loss rate must be in [0, 1], got {rate}")
         self.rate = rate
         self._rng = rng if rng is not None else _default_rng()
-        self._initial_rng_state = self._rng.getstate()
 
     def is_lost(self) -> bool:
         if self.rate == 0.0:
@@ -95,9 +84,6 @@ class BernoulliLoss(LossModel):
     @property
     def mean_loss_rate(self) -> float:
         return self.rate
-
-    def reset(self) -> None:
-        self._rng.setstate(self._initial_rng_state)
 
     def __repr__(self) -> str:
         return f"BernoulliLoss(rate={self.rate})"
@@ -138,7 +124,6 @@ class GilbertElliottLoss(LossModel):
         self.bad_loss = bad_loss
         self.good_loss = good_loss
         self._rng = rng if rng is not None else _default_rng()
-        self._initial_rng_state = self._rng.getstate()
         self._bad = False
 
     @classmethod
@@ -188,10 +173,6 @@ class GilbertElliottLoss(LossModel):
         pi_bad = self.p_gb / (self.p_gb + self.p_bg)
         return pi_bad * self.bad_loss + (1.0 - pi_bad) * self.good_loss
 
-    def reset(self) -> None:
-        self._bad = False
-        self._rng.setstate(self._initial_rng_state)
-
     def __repr__(self) -> str:
         return (
             f"GilbertElliottLoss(p_gb={self.p_gb:.4f}, p_bg={self.p_bg:.4f}, "
@@ -218,9 +199,6 @@ class DeterministicLoss(LossModel):
     def mean_loss_rate(self) -> float:
         return 1.0 / self.period
 
-    def reset(self) -> None:
-        self._count = 0
-
 
 class TraceLoss(LossModel):
     """Replays a recorded loss trace (True = lost), cycling at the end."""
@@ -239,9 +217,6 @@ class TraceLoss(LossModel):
     @property
     def mean_loss_rate(self) -> float:
         return sum(self.trace) / len(self.trace)
-
-    def reset(self) -> None:
-        self._pos = 0
 
 
 class CombinedLoss(LossModel):
@@ -263,7 +238,3 @@ class CombinedLoss(LossModel):
         for model in self.models:
             survive *= 1.0 - model.mean_loss_rate
         return 1.0 - survive
-
-    def reset(self) -> None:
-        for model in self.models:
-            model.reset()

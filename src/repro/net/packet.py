@@ -9,8 +9,7 @@ the simulator count in whole packets.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 #: Default announcement packet size in bits (1 kbit): kbps == packets/s.
@@ -31,15 +30,13 @@ def pps_to_kbps(pps: float, packet_bits: int = PACKET_BITS) -> float:
     return pps * packet_bits / 1000.0
 
 
-_packet_ids = itertools.count()
-
-
 @dataclass(slots=True)
 class Packet:
     """One transmission unit (an ADU announcement, a NACK, a digest, ...).
 
-    Slotted: multicast fan-out builds one clone per surviving receiver,
-    so instances carry no ``__dict__`` and accept no ad-hoc attributes.
+    Treated as immutable once sent: a multicast fan-out hands the one
+    serviced object to every surviving receiver, and no sink writes to
+    it.  Slotted, so instances accept no ad-hoc attributes.
 
     Attributes
     ----------
@@ -61,24 +58,7 @@ class Packet:
     payload: Any = None
     seq: Optional[int] = None
     size_bits: int = PACKET_BITS
-    uid: int = field(default_factory=lambda: next(_packet_ids))
 
     def __post_init__(self) -> None:
         if self.size_bits <= 0:
             raise ValueError(f"size_bits must be positive, got {self.size_bits}")
-
-    def copy_for(self, receiver: Any) -> "Packet":
-        """Shallow per-receiver copy used by multicast fan-out.
-
-        Same field values and one fresh uid, built without the dataclass
-        constructor: the fan-out calls this once per surviving receiver,
-        so it is a hot path.
-        """
-        clone = object.__new__(Packet)
-        clone.kind = self.kind
-        clone.key = self.key
-        clone.payload = self.payload
-        clone.seq = self.seq
-        clone.size_bits = self.size_bits
-        clone.uid = next(_packet_ids)
-        return clone

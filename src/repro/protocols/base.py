@@ -140,19 +140,21 @@ class SoftStateReceiver:
         payload = packet.payload
         now = self.env.now
         # Gap detection on the channel sequence number.
-        if packet.seq is not None:
-            if packet.seq >= self._next_seq:
-                new_missing = set(range(self._next_seq, packet.seq))
-                self._next_seq = packet.seq + 1
-                if new_missing:
-                    self.missing_seqs |= new_missing
-                    if len(self.missing_seqs) > self.max_missing:
-                        for stale in sorted(self.missing_seqs)[
-                            : len(self.missing_seqs) - self.max_missing
-                        ]:
-                            self.missing_seqs.discard(stale)
-                    if self.on_gap is not None:
-                        self.on_gap(sorted(new_missing))
+        seq = packet.seq
+        if seq is not None:
+            if seq == self._next_seq:
+                self._next_seq = seq + 1
+            elif seq > self._next_seq:
+                new_missing = set(range(self._next_seq, seq))
+                self._next_seq = seq + 1
+                self.missing_seqs |= new_missing
+                if len(self.missing_seqs) > self.max_missing:
+                    for stale in sorted(self.missing_seqs)[
+                        : len(self.missing_seqs) - self.max_missing
+                    ]:
+                        self.missing_seqs.discard(stale)
+                if self.on_gap is not None:
+                    self.on_gap(sorted(new_missing))
             # Clear any gaps this packet explicitly repairs.
             for repaired in payload.get("repairs", ()):
                 self.missing_seqs.discard(repaired)

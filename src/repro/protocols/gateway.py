@@ -191,7 +191,7 @@ class GatewaySession(PublisherLifecycle, Session):
         if self.mode == "forwarder":
             # Verbatim relay: every local announcement joins the FIFO.
             self.ledger.add("redundant", packet.size_bits)
-            self.bottleneck.send(packet.copy_for("island-b"))
+            self.bottleneck.send(packet)
         elif fresh:
             # Soft state: a changed key owes exactly one hot transmission.
             if key not in self._hot_set:

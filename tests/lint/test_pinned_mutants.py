@@ -55,31 +55,6 @@ MUTANTS = {
         ],
         "for name in set(mine_parent.children)",
     ),
-    # Timeout(env, delay) emits timer_set without the kernel trace
-    # guard: on an untraced environment that is a call on None.  The
-    # kernel schedules through env.timeout(), which has its own copy of
-    # the guard, so no test constructs a Timeout directly.
-    "RPR005": (
-        "src/repro/des/core.py",
-        [
-            (
-                "        _heappush(env._queue, (env._now + delay, NORMAL, "
-                "eid, self))\n"
-                "        if env._trace_kernel:\n"
-                "            env._trace.emit(\n"
-                '                _KERNEL, "timer_set", env._now, '
-                "delay=delay, eid=eid\n"
-                "            )\n",
-                "        _heappush(env._queue, (env._now + delay, NORMAL, "
-                "eid, self))\n"
-                "        env._trace.emit(\n"
-                '            _KERNEL, "timer_set", env._now, '
-                "delay=delay, eid=eid\n"
-                "        )\n",
-            ),
-        ],
-        "        env._trace.emit(",
-    ),
     # figure7's cell reads its loss rate from the environment: a cached
     # cell is then replayed for a different loss rate.  The golden
     # render runs with the variable unset, so it sees the default.
@@ -117,8 +92,6 @@ def test_pinned_mutant_is_caught_by_its_rule(code, tmp_path):
         if marker in text
     )
     line = source.count("\n", 0, start) + 1 + offset
-    # Keep the repo-relative path: RPR005 is scoped to repro/des and
-    # repro/net.
     target = tmp_path / relpath
     target.parent.mkdir(parents=True)
     target.write_text(source, encoding="utf-8")

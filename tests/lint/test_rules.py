@@ -21,10 +21,6 @@ import pytest
 from repro.lint import RULES, lint_source
 
 
-#: Path handed to fixtures that need a hot-path scope (RPR005).
-HOT_PATH = "src/repro/des/fake_hot.py"
-
-
 def findings_for(code, source, path="src/repro/fake.py"):
     return lint_source(textwrap.dedent(source), path=path, codes=[code])
 
@@ -160,92 +156,6 @@ def test_rpr004_suppressed_inline():
             for key in set(keys):  # repro-lint: disable=RPR004
                 results.append(key)
         """,
-    )
-    assert found == []
-
-
-# -- RPR005: unguarded tracer emits ---------------------------------------
-
-
-def test_rpr005_fires_on_unguarded_emit_in_hot_path():
-    found = findings_for(
-        "RPR005",
-        """
-        class Channel:
-            def pump(self):
-                self._trace.emit("packet", "packet_sent", 0.0)
-        """,
-        path=HOT_PATH,
-    )
-    assert [f.code for f in found] == ["RPR005"]
-
-
-def test_rpr005_quiet_when_guarded_by_precomputed_bool():
-    found = findings_for(
-        "RPR005",
-        """
-        class Env:
-            def step(self):
-                if self._trace_kernel:
-                    self._trace.emit("kernel", "timer_fired", self._now)
-        """,
-        path=HOT_PATH,
-    )
-    assert found == []
-
-
-def test_rpr005_quiet_when_guarded_by_receiver_check():
-    found = findings_for(
-        "RPR005",
-        """
-        class Channel:
-            def pump(self):
-                tr = self._trace
-                if tr is not None and tr.packet:
-                    tr.emit("packet", "packet_sent", 0.0)
-        """,
-        path=HOT_PATH,
-    )
-    assert found == []
-
-
-def test_rpr005_quiet_when_tracer_is_parameter():
-    # Injected-tracer contract: the caller holds the guard
-    # (Environment._run_instrumented / _emit_fired).
-    found = findings_for(
-        "RPR005",
-        """
-        class Env:
-            def _emit_fired(self, tr, when, event):
-                tr.emit("kernel", "event_fired", when)
-        """,
-        path=HOT_PATH,
-    )
-    assert found == []
-
-
-def test_rpr005_out_of_scope_path_is_quiet():
-    found = findings_for(
-        "RPR005",
-        """
-        class Anything:
-            def hook(self):
-                self._trace.emit("run", "cell_done", None)
-        """,
-        path="src/repro/experiments/fake.py",
-    )
-    assert found == []
-
-
-def test_rpr005_suppressed_inline():
-    found = findings_for(
-        "RPR005",
-        """
-        class Channel:
-            def pump(self):
-                self._trace.emit("packet", "packet_sent", 0.0)  # repro-lint: disable=RPR005
-        """,
-        path=HOT_PATH,
     )
     assert found == []
 

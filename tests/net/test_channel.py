@@ -214,6 +214,82 @@ def test_multicast_serviced_hook_sees_per_receiver_outcomes():
     assert seen == [{"a": False, "b": True}]
 
 
+def _settle_order(env, channel, packets):
+    """Transmit ``packets`` back to back; return (index, time, value)
+    for each completion, in the order they fire."""
+    fired = []
+    for index, packet in enumerate(packets):
+        done = channel.transmit(packet)
+        done.callbacks.append(
+            lambda event, index=index: fired.append(
+                (index, env.now, event.value)
+            )
+        )
+    env.run(until=10.0)
+    return fired
+
+
+def test_queued_transmits_settle_in_fifo_order_with_their_own_outcome():
+    # The same packet object is queued twice while its first copy is
+    # still waiting; each transmit keeps its own completion.
+    env = Environment()
+    channel = Channel(env, rate_kbps=10.0, loss=DeterministicLoss(period=2))
+    a, b = Packet(seq=0), Packet(seq=1)
+    fired = _settle_order(env, channel, [a, b, a, b, a])
+    assert [(i, round(t, 9), lost) for i, t, lost in fired] == [
+        (0, 0.1, False),
+        (1, 0.2, True),
+        (2, 0.3, False),
+        (3, 0.4, True),
+        (4, 0.5, False),
+    ]
+
+
+def test_multicast_queued_transmits_settle_in_fifo_order():
+    env = Environment()
+    mc = MulticastChannel(env, rate_kbps=10.0)
+    mc.join("a", lambda p: None, loss=NoLoss())
+    mc.join("b", lambda p: None, loss=DeterministicLoss(period=2))
+    packet = Packet(seq=0)
+    fired = _settle_order(env, mc, [packet, packet, packet])
+    assert [(i, round(t, 9), out) for i, t, out in fired] == [
+        (0, 0.1, {"a": False, "b": False}),
+        (1, 0.2, {"a": False, "b": True}),
+        (2, 0.3, {"a": False, "b": False}),
+    ]
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.25])
+def test_multicast_sinks_receive_the_serviced_packet_itself(delay):
+    env = Environment()
+    rng = RngStreams(seed=5)
+    mc = MulticastChannel(env, rate_kbps=10.0, delay=delay)
+    received = []
+    for rid, loss in [
+        ("clean", NoLoss()),
+        ("bern", BernoulliLoss(0.4, rng=rng["bern"])),
+        ("det", DeterministicLoss(period=3)),
+    ]:
+        mc.join(rid, lambda p, rid=rid: received.append((rid, p)), loss=loss)
+    serviced = []
+    mc.on_serviced(lambda p, outcomes: serviced.append((p, dict(outcomes))))
+    sent = [Packet(seq=seq) for seq in range(12)]
+    for packet in sent:
+        mc.send(packet)
+    env.run(until=10.0)
+    assert [p for p, _ in serviced] == sent
+    expected = [
+        (rid, packet)
+        for packet, outcomes in serviced
+        for rid, lost in outcomes.items()
+        if not lost
+    ]
+    assert len(received) == len(expected) > 12
+    for (rid, got), (want_rid, want) in zip(received, expected):
+        assert rid == want_rid
+        assert got is want
+
+
 def test_duplex_path_routes_both_directions():
     env = Environment()
     path = DuplexPath(env, data_kbps=10.0, feedback_kbps=5.0)

@@ -1,6 +1,7 @@
 """Unit tests for loss models."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -96,13 +97,6 @@ def test_deterministic_loss_pattern():
     assert model.mean_loss_rate == 0.25
 
 
-def test_deterministic_reset():
-    model = DeterministicLoss(period=2)
-    model.is_lost()
-    model.reset()
-    assert [model.is_lost(), model.is_lost()] == [False, True]
-
-
 def test_trace_loss_replays_and_cycles():
     model = TraceLoss([True, False, False])
     assert [model.is_lost() for _ in range(6)] == [
@@ -165,3 +159,19 @@ def test_default_rngs_are_per_instance_not_clones():
     draws_a = [a.is_lost() for _ in range(200)]
     draws_b = [b.is_lost() for _ in range(200)]
     assert draws_a != draws_b
+
+
+def test_loss_models_hold_no_rng_snapshot():
+    """A model keeps a reference to its rng, never a copy of its state:
+    a multicast session builds one model per receiver, so a 625-word
+    Mersenne Twister snapshot each (about 24 KB) would dominate its
+    memory."""
+    rng = random.Random(3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        models = [BernoulliLoss(0.1, rng=rng) for _ in range(1000)]
+        per_model = (tracemalloc.get_traced_memory()[0] - before) / len(models)
+    finally:
+        tracemalloc.stop()
+    assert per_model < 4096

@@ -1,88 +1,16 @@
-"""LossModel.reset() must rewind every model to construction time.
+"""Loss-model streams across a fault's swap-out and swap-back.
 
-The fault framework leans on this: ``LinkOutage`` and ``LossEpisode``
-swap a channel's model out and later put the *same object* back, and a
-model whose rng or chain state had silently advanced differently would
-break the byte-identical determinism guarantee.  These tests replay each
-model after a reset and demand the identical sequence.
+Loss models have no ``reset()``: ``LinkOutage`` and ``LossEpisode`` put
+the *same object* back on the channel (pinned by object identity in
+``tests/faults/test_faults.py``), so a model's stream is never rewound
+and each model must own its stream from construction on.
 """
 
-import random
-
-import pytest
-
-from repro.net import (
-    BernoulliLoss,
-    CombinedLoss,
-    DeterministicLoss,
-    GilbertElliottLoss,
-    NoLoss,
-    TotalLoss,
-    TraceLoss,
-)
+from repro.net import BernoulliLoss
 
 
 def draw(model, n=200):
     return [model.is_lost() for _ in range(n)]
-
-
-def models():
-    return [
-        BernoulliLoss(0.3, rng=random.Random(7)),
-        BernoulliLoss(0.5),  # instance-default substream
-        GilbertElliottLoss(p_gb=0.1, p_bg=0.3, rng=random.Random(3)),
-        GilbertElliottLoss.with_mean(0.25, burst_length=4.0),
-        DeterministicLoss(period=3, offset=1),
-        TraceLoss([True, False, False, True, False]),
-        CombinedLoss(
-            [BernoulliLoss(0.2, rng=random.Random(9)), DeterministicLoss(5)]
-        ),
-        NoLoss(),
-        TotalLoss(),
-    ]
-
-
-@pytest.mark.parametrize(
-    "model", models(), ids=lambda m: type(m).__name__
-)
-def test_reset_replays_identically(model):
-    first = draw(model)
-    model.reset()
-    assert draw(model) == first
-
-
-def test_reset_mid_sequence_restarts_from_the_top():
-    model = GilbertElliottLoss.with_mean(0.4, burst_length=6.0)
-    first = draw(model, 100)
-    draw(model, 37)  # wander off to an arbitrary point
-    model.reset()
-    assert draw(model, 100) == first
-
-
-def test_gilbert_elliott_reset_clears_chain_state():
-    # Force the chain into the bad state, then reset: the next draws
-    # must match a virgin chain, not continue the burst.
-    model = GilbertElliottLoss(p_gb=1.0, p_bg=0.0, rng=random.Random(1))
-    assert model.is_lost()  # transitions good->bad immediately
-    assert model._bad
-    model.reset()
-    assert not model._bad
-
-
-def test_combined_reset_resets_every_component():
-    inner = DeterministicLoss(period=2)
-    combined = CombinedLoss([inner])
-    seq = draw(combined, 7)
-    combined.reset()
-    assert inner._count == 0
-    assert draw(combined, 7) == seq
-
-
-def test_trace_reset_rewinds_position():
-    model = TraceLoss([False, True, True])
-    assert draw(model, 4) == [False, True, True, False]
-    model.reset()
-    assert draw(model, 3) == [False, True, True]
 
 
 def test_default_stream_instances_are_independent():
@@ -91,16 +19,3 @@ def test_default_stream_instances_are_independent():
     a = BernoulliLoss(0.5)
     b = BernoulliLoss(0.5)
     assert draw(a, 500) != draw(b, 500)
-
-
-def test_default_stream_reset_only_rewinds_its_own_stream():
-    a = BernoulliLoss(0.5)
-    b = BernoulliLoss(0.5)
-    seq_a = draw(a)
-    seq_b = draw(b)
-    a.reset()
-    assert draw(a) == seq_a
-    # b was not touched by a's reset; its sequence continues.
-    continued = draw(b)
-    b.reset()
-    assert draw(b, 400) == seq_b + continued

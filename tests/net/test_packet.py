@@ -29,23 +29,19 @@ def test_negative_rates_rejected():
 
 def test_packet_fields_and_uid_uniqueness():
     a = Packet(kind="announce", key="k1", payload=123, seq=7)
-    b = Packet(kind="nack", key="k1")
+    b = Packet(kind="announce", key="k1", payload=123, seq=7)
     assert a.kind == "announce"
     assert a.key == "k1"
     assert a.payload == 123
     assert a.seq == 7
-    assert a.uid != b.uid
+    assert a.size_bits == PACKET_BITS
+    # A packet's identity is the object itself: there is no uid field,
+    # and two packets with equal content stay two packets.
+    assert not hasattr(a, "uid")
+    assert a == b and a is not b
 
 
 def test_packet_rejects_non_positive_size():
     with pytest.raises(ValueError):
         Packet(size_bits=0)
 
-
-def test_copy_for_preserves_content_but_not_uid():
-    original = Packet(kind="announce", key="k", payload="v", seq=3)
-    clone = original.copy_for("receiver-1")
-    assert clone.key == original.key
-    assert clone.payload == original.payload
-    assert clone.seq == original.seq
-    assert clone.uid != original.uid
