@@ -1,10 +1,16 @@
 """Discrete-event simulation kernel.
 
 A small, deterministic, process-interaction simulation engine in the style
-of simpy (which is not available in this environment).  Simulation
-processes are plain Python generators that yield *events*; the
-:class:`~repro.des.core.Environment` advances virtual time and resumes
-processes when the events they wait on are triggered.
+of simpy.  Simulation processes are plain Python generators that yield
+*events*; the :class:`~repro.des.core.Environment` advances virtual time
+and resumes processes when the events they wait on are triggered.
+
+The kernel is sized to its callers: events (``succeed``/``fail``/
+``settle``), timeouts (one at a time or ``timeout_many``), processes that
+can wait on each other and be interrupted, and named seeded RNG streams.
+simpy's resources, stores and condition events are not provided; a model
+that needs a queue keeps a ``deque`` and has an idle process wait on a
+fresh ``env.event()`` that the producer succeeds.
 
 Example
 -------
@@ -20,8 +26,6 @@ Example
 """
 
 from repro.des.core import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -29,28 +33,14 @@ from repro.des.core import (
     SimulationError,
     Timeout,
 )
-from repro.des.resources import (
-    Container,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
 from repro.des.rng import RngStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
     "Environment",
     "Event",
-    "FilterStore",
     "Interrupt",
-    "PriorityResource",
     "Process",
-    "Resource",
     "RngStreams",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -44,8 +44,8 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from repro.obs import runtime as _obs
 from repro.obs.trace import KERNEL as _KERNEL
 
-#: Event priority for "urgent" bookkeeping events (process resumption
-#: after an interrupt, condition bookkeeping).  Lower sorts first.
+#: Event priority for "urgent" bookkeeping events (process start,
+#: process resumption after an interrupt).  Lower sorts first.
 URGENT = 0
 #: Default priority for ordinary events.
 NORMAL = 1
@@ -175,25 +175,6 @@ class Event:
         env._eid = eid = env._eid + 1
         env._settling = (env._now, NORMAL, eid, self)
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (for chaining)."""
-        if event._value is PENDING:
-            raise SimulationError(
-                f"cannot propagate the state of {event!r}: "
-                "it has not been triggered yet"
-            )
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
-    # -- composition ------------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:
         status = (
             "processed"
@@ -271,15 +252,6 @@ class Process(Event):
                 eid=eid,
             )
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
-
-    @property
-    def is_alive(self) -> bool:
-        return self._value is PENDING
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw an :class:`Interrupt` into the process.
 
@@ -313,7 +285,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator by one step with ``event``'s outcome."""
         env = self.env
-        env._active_process = self
         generator = self._generator
         if env._trace_kernel:
             env._trace.emit(
@@ -395,77 +366,9 @@ class Process(Event):
             # Event already processed: loop immediately with its outcome.
             event = next_event
 
-        env._active_process = None
-
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", str(self._generator))
         return f"<Process {name} at {id(self):#x}>"
-
-
-class Condition(Event):
-    """Waits for a boolean combination of events (base for All/AnyOf)."""
-
-    __slots__ = ("_events", "_count", "_total")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._count = 0
-        self._total = len(self._events)
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("events belong to different environments")
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-            if self._value is not PENDING:
-                break
-
-    def _evaluate(self, count: int, total: int) -> bool:
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._count += 1
-        if self._evaluate(self._count, self._total):
-            self.succeed(self._collect_values())
-
-    def _collect_values(self) -> dict:
-        # Only events whose callbacks have already run count as "arrived";
-        # a Timeout carries its value from birth but has not happened yet.
-        return {
-            i: event._value
-            for i, event in enumerate(self._events)
-            if event.callbacks is None and event._ok
-        }
-
-
-class AllOf(Condition):
-    """Triggers when *all* constituent events have triggered."""
-
-    __slots__ = ()
-
-    def _evaluate(self, count: int, total: int) -> bool:
-        return count == total
-
-
-class AnyOf(Condition):
-    """Triggers when *any* constituent event has triggered."""
-
-    __slots__ = ()
-
-    def _evaluate(self, count: int, total: int) -> bool:
-        return count >= 1
 
 
 class Environment:
@@ -475,7 +378,6 @@ class Environment:
         "_now",
         "_queue",
         "_eid",
-        "_active_process",
         "_trace",
         "_trace_kernel",
         "_profile",
@@ -487,7 +389,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: The ambient tracer, cached at construction (guarded attribute:
         #: hooks are no-ops unless a tracer was installed via repro.obs).
         tracer = _obs.current_tracer()
@@ -519,11 +420,6 @@ class Environment:
     def tracer(self, tracer) -> None:
         self._trace = tracer
         self._trace_kernel = tracer is not None and tracer.kernel
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
@@ -607,12 +503,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling & stepping ----------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float) -> None:

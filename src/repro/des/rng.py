@@ -11,8 +11,9 @@ reproducible and streams are decoupled.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
-from typing import Dict
+from typing import Callable, Dict
 
 from repro.obs import runtime as _obs
 
@@ -34,12 +35,15 @@ class RngStreams:
     def __getitem__(self, name: str) -> random.Random:
         stream = self._streams.get(name)
         if stream is None:
-            stream = random.Random(self._derive(name))
-            self._streams[name] = stream
-            # Run telemetry records which substreams a cell derived —
-            # a no-op outside the experiment runner's cell context.
-            _obs.note_rng_stream(f"{self.seed}:{name}")
+            stream = self._streams[name] = self._fresh(name)
         return stream
+
+    def _fresh(self, name: str) -> random.Random:
+        """A new stream ``name`` that this family does not keep."""
+        # Run telemetry records which substreams a cell derived — a
+        # no-op outside the experiment runner's cell context.
+        _obs.note_rng_stream(f"{self.seed}:{name}")
+        return random.Random(self._derive(name))
 
     def _derive(self, name: str) -> int:
         """Map (root seed, stream name) to a well-mixed 64-bit seed."""
@@ -52,3 +56,17 @@ class RngStreams:
 
     def __repr__(self) -> str:
         return f"<RngStreams seed={self.seed} streams={sorted(self._streams)}>"
+
+
+def numbered_streams(seed: int, prefix: str) -> Callable[[], random.Random]:
+    """A factory whose n-th call returns stream ``f"{prefix}-{n}"`` of ``seed``.
+
+    For objects built without an explicit rng: each instance draws from
+    its own substream, numbered in construction order (deterministic
+    within a process), and nothing keeps the stream once its owner is
+    gone.  Code that needs cross-process reproducibility passes an
+    explicit rng instead.
+    """
+    root = RngStreams(seed)
+    counter = itertools.count()
+    return lambda: root._fresh(f"{prefix}-{next(counter)}")

@@ -10,25 +10,17 @@ tested (see the loss-model ablation bench).
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Iterable, Sequence
 
-from repro.des.rng import RngStreams
+from repro.des.rng import numbered_streams
 
-#: Stream family for models built without an explicit rng.  Every such
-#: instance draws from its own substream: two channels constructed
-#: side by side must not share one loss sequence (they used to — every
-#: default was ``random.Random(0)``, so "independent" channels dropped
-#: exactly the same packets).  Instance numbering makes this
-#: deterministic within a process; code that needs cross-process
-#: reproducibility should pass an explicit rng, as the sessions do.
-_DEFAULT_STREAMS = RngStreams(seed=0x10_55)
-_DEFAULT_COUNTER = itertools.count()
-
-
-def _default_rng() -> random.Random:
-    return _DEFAULT_STREAMS[f"model-{next(_DEFAULT_COUNTER)}"]
+#: The rng of a model built without one.  Every such instance draws
+#: from its own substream: two channels constructed side by side must
+#: not share one loss sequence (they used to — every default was
+#: ``random.Random(0)``, so "independent" channels dropped exactly the
+#: same packets).  The sessions pass an explicit rng.
+_default_rng = numbered_streams(0x10_55, "model")
 
 
 class LossModel:

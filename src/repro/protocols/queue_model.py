@@ -17,10 +17,11 @@ The integration tests do exactly that comparison.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.des import Environment, RngStreams, Store
+from repro.des import Environment, Event, RngStreams
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class QueueModelSim:
         p_loss: float,
         p_death: float,
         seed: int = 0,
-        deterministic_service: bool = False,
     ) -> None:
         if update_rate <= 0:
             raise ValueError(f"update_rate must be positive, got {update_rate}")
@@ -88,7 +88,6 @@ class QueueModelSim:
         self.p_loss = p_loss
         self.p_death = p_death
         self.seed = seed
-        self.deterministic_service = deterministic_service
 
     def run(self, horizon: float, warmup: float = 0.0) -> QueueModelResult:
         """Simulate for ``horizon`` seconds (statistics skip ``warmup``)."""
@@ -98,10 +97,13 @@ class QueueModelSim:
             )
         env = Environment()
         rng = RngStreams(seed=self.seed)
-        queue: Store = Store(env)
+        queue: deque = deque()
         state = _Stats(warmup)
+        # The server's wake-up event while the queue is empty.
+        idle: Optional[Event] = None
 
         def arrivals():
+            nonlocal idle
             while True:
                 yield env.timeout(
                     rng["arrivals"].expovariate(self.update_rate)
@@ -110,20 +112,22 @@ class QueueModelSim:
                 job = _Job(env.now)
                 state.arrivals += 1
                 state.n_inconsistent += 1
-                queue.put(job)
+                queue.append(job)
+                if idle is not None:
+                    idle.succeed()
+                    idle = None
 
         def server():
+            nonlocal idle
             service_rng = rng["service"]
             loss_rng = rng["loss"]
             death_rng = rng["death"]
             while True:
-                job = yield queue.get()
-                if self.deterministic_service:
-                    yield env.timeout(1.0 / self.channel_rate)
-                else:
-                    yield env.timeout(
-                        service_rng.expovariate(self.channel_rate)
-                    )
+                if not queue:
+                    idle = env.event()
+                    yield idle
+                job = queue.popleft()
+                yield env.timeout(service_rng.expovariate(self.channel_rate))
                 state.note_change(env.now)
                 state.services += 1
                 entered_consistent = job.consistent
@@ -151,7 +155,7 @@ class QueueModelSim:
                         state.n_inconsistent -= 1
                         state.never_received += 1
                 else:
-                    queue.put(job)
+                    queue.append(job)
 
         env.process(arrivals())
         env.process(server())

@@ -9,18 +9,15 @@ Probabilistically fair with no per-class virtual-time state.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Optional
 
-from repro.des.rng import RngStreams
+from repro.des.rng import numbered_streams
 from repro.sched.base import Scheduler
 
-#: Default-rng substream family (same scheme as repro.net.loss): every
-#: scheduler built without an explicit rng gets its own numbered
-#: substream, so two side-by-side lotteries never replay one sequence.
-_DEFAULT_STREAMS = RngStreams(seed=0x5C_4ED)
-_DEFAULT_COUNTER = itertools.count()
+#: The rng of a scheduler built without one (same scheme as
+#: repro.net.loss): two side-by-side lotteries never replay one sequence.
+_default_rng = numbered_streams(0x5C_4ED, "lottery")
 
 
 class LotteryScheduler(Scheduler):
@@ -29,7 +26,7 @@ class LotteryScheduler(Scheduler):
     def __init__(self, rng: random.Random | None = None) -> None:
         super().__init__()
         if rng is None:
-            rng = _DEFAULT_STREAMS[f"lottery-{next(_DEFAULT_COUNTER)}"]
+            rng = _default_rng()
         self._rng = rng
 
     def _select(self) -> Optional[str]:

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.des import (
-    AllOf,
-    AnyOf,
     Environment,
     Interrupt,
     SimulationError,
@@ -212,51 +210,6 @@ def test_event_fail_requires_exception():
     env = Environment()
     with pytest.raises(SimulationError):
         env.event().fail("not an exception")  # type: ignore[arg-type]
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    log = []
-
-    def proc(env):
-        t1 = env.timeout(1.0, value="one")
-        t2 = env.timeout(5.0, value="five")
-        results = yield AllOf(env, [t1, t2])
-        log.append((env.now, sorted(results.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert log == [(5.0, ["five", "one"])]
-
-
-def test_any_of_returns_at_first_event():
-    env = Environment()
-    log = []
-
-    def proc(env):
-        t1 = env.timeout(1.0, value="one")
-        t2 = env.timeout(5.0, value="five")
-        results = yield AnyOf(env, [t1, t2])
-        log.append((env.now, list(results.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert log == [(1.0, ["one"])]
-
-
-def test_and_or_operators_build_conditions():
-    env = Environment()
-    log = []
-
-    def proc(env):
-        yield env.timeout(1.0) & env.timeout(2.0)
-        log.append(env.now)
-        yield env.timeout(10.0) | env.timeout(3.0)
-        log.append(env.now)
-
-    env.process(proc(env))
-    env.run(until=20.0)
-    assert log == [2.0, 5.0]
 
 
 def test_run_until_event_returns_its_value():

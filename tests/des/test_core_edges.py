@@ -3,69 +3,6 @@
 import pytest
 
 from repro.des import Environment, SimulationError
-from repro.des.core import AllOf, AnyOf, Condition
-
-
-def test_active_process_is_set_during_execution():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        seen.append(env.active_process)
-        yield env.timeout(1.0)
-
-    handle = env.process(proc(env))
-    env.run()
-    assert seen == [handle]
-    assert env.active_process is None
-
-
-def test_process_target_exposes_waited_event():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(5.0)
-
-    handle = env.process(proc(env))
-    env.step()  # run initialization: process now waits on the timeout
-    assert handle.target is not None
-    assert handle.is_alive
-    env.run()
-    assert not handle.is_alive
-
-
-def test_event_trigger_copies_outcome():
-    env = Environment()
-    source = env.event()
-    source.succeed("payload")
-    mirror = env.event()
-    mirror.trigger(source)
-    assert mirror.triggered
-    assert mirror.value == "payload"
-
-
-def test_event_trigger_copies_failure():
-    env = Environment()
-    source = env.event()
-    source.fail(ValueError("boom"))
-    source._defused = True
-    mirror = env.event()
-    mirror.trigger(source)
-    assert mirror.triggered
-    assert not mirror.ok
-    mirror._defused = True
-    env._queue.clear()  # drop the scheduled failures
-
-
-def test_trigger_from_untriggered_event_raises():
-    # Chaining from a pending event used to propagate PENDING as a value
-    # (with ``_ok is None`` silently read as failure); now it is an error.
-    env = Environment()
-    source = env.event()
-    mirror = env.event()
-    with pytest.raises(SimulationError):
-        mirror.trigger(source)
-    assert not mirror.triggered
 
 
 def test_value_before_trigger_raises():
@@ -75,43 +12,6 @@ def test_value_before_trigger_raises():
         _ = event.value
     with pytest.raises(SimulationError):
         _ = event.ok
-
-
-def test_empty_condition_succeeds_immediately():
-    env = Environment()
-    condition = AllOf(env, [])
-    assert condition.triggered
-    assert condition.value == {}
-
-
-def test_condition_rejects_foreign_events():
-    env_a, env_b = Environment(), Environment()
-    with pytest.raises(SimulationError):
-        AllOf(env_a, [env_a.event(), env_b.event()])
-
-
-def test_condition_base_class_is_abstract():
-    env = Environment()
-    event = env.event()
-    event.succeed()
-    env.run()  # the event is now processed
-    with pytest.raises(NotImplementedError):
-        Condition(env, [event])
-
-
-def test_anyof_with_failed_event_propagates():
-    env = Environment()
-
-    def failer(env):
-        yield env.timeout(1.0)
-        raise RuntimeError("bad")
-
-    def waiter(env):
-        with pytest.raises(RuntimeError):
-            yield AnyOf(env, [env.process(failer(env)), env.timeout(10.0)])
-
-    env.process(waiter(env))
-    env.run(until=20.0)
 
 
 def test_step_on_empty_queue_raises():

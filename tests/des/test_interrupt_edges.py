@@ -3,19 +3,12 @@
 ``repro.faults`` crashes senders by interrupting their kernel processes,
 so the interrupt semantics these tests pin down are load-bearing: the
 cause object rides along, orphaned timeouts still fire (with nobody
-waiting), interrupts compose with condition events, and an interrupted
-schedule replays identically run-to-run.
+waiting), and an interrupted schedule replays identically run-to-run.
 """
 
 import pytest
 
-from repro.des import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-    SimulationError,
-)
+from repro.des import Environment, Interrupt, SimulationError
 
 
 def test_interrupt_delivers_cause():
@@ -102,27 +95,6 @@ def test_interrupted_process_can_wait_again():
     env.process(attacker(env, proc))
     env.run()
     assert trace == [("down", 5.0, 7.0), ("up", 12.0), ("done", 13.0)]
-
-
-@pytest.mark.parametrize("combine", [AllOf, AnyOf])
-def test_interrupt_while_waiting_on_condition(combine):
-    env = Environment()
-    seen = []
-
-    def victim(env):
-        try:
-            yield combine(env, [env.timeout(50.0), env.timeout(60.0)])
-        except Interrupt:
-            seen.append(env.now)
-
-    def attacker(env, proc):
-        yield env.timeout(4.0)
-        proc.interrupt()
-
-    proc = env.process(victim(env))
-    env.process(attacker(env, proc))
-    env.run()
-    assert seen == [4.0]
 
 
 def test_double_interrupt_at_same_instant():

