@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-json bench-cache bench-scale bench-lint overhead-check chaos spec-overhead-check golden-check report experiments experiments-quick examples clean
+.PHONY: install test bench bench-json bench-cache bench-scale overhead-check chaos spec-overhead-check golden-check report experiments experiments-quick examples clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -10,11 +10,6 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
-
-# Static determinism & simulation-safety analysis (docs/LINT.md): one
-# pass, every rule.  Exit codes: 0 clean, 1 findings, 2 usage error.
-lint:
-	PYTHONPATH=$(CURDIR)/src $(PYTHON) -m repro lint src benchmarks examples
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -47,14 +42,6 @@ bench-cache:
 bench-scale:
 	$(PYTHON) benchmarks/bench_scale.py --assert-fluid-seconds 1 \
 		--assert-speedup 2 --assert-identical --out BENCH_scale.json
-
-# Lint-speed gate (docs/LINT.md): the one lint pass over
-# src/benchmarks/examples from a cold parse cache, then again warm.
-# Asserts < 10s cold, < 2s warm, and zero re-parses on the warm pass;
-# emits BENCH_lint.json.
-bench-lint:
-	$(PYTHON) benchmarks/bench_lint.py --assert-cold-seconds 10 \
-		--assert-warm-seconds 2 --out BENCH_lint.json
 
 # CI gate: tracing+span hooks must cost < 3% on the kernel when
 # disabled, and the sampling profiler < 10% when enabled.

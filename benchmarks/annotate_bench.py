@@ -15,7 +15,7 @@ track the perf trajectory across revisions and machines:
   overwriting, which is what makes cross-run deltas possible at all.
 
 No timestamps are recorded: entries are content-only, so files stay
-byte-reproducible for identical runs (RPR002 stays happy too).
+byte-reproducible for identical runs.
 
 Usage::
 

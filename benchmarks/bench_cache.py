@@ -83,15 +83,15 @@ def _no_cache_overhead_pct(repeats: int = 5, cells: int = 40) -> float:
     for _ in range(repeats):
         # This benchmark's whole point is host wall time: it measures
         # the disabled-cache dispatch cost, never simulation state.
-        start = time.perf_counter()  # repro-lint: disable=RPR002
+        start = time.perf_counter()
         for index, cell in enumerate(kwargs):
             _run_cell(_overhead_cell, index, cell)
-        baseline = min(baseline, time.perf_counter() - start)  # repro-lint: disable=RPR002
+        baseline = min(baseline, time.perf_counter() - start)
 
-        start = time.perf_counter()  # repro-lint: disable=RPR002
+        start = time.perf_counter()
         with caching(None):
             map_cells(_overhead_cell, kwargs, jobs=1)
-        dispatch = min(dispatch, time.perf_counter() - start)  # repro-lint: disable=RPR002
+        dispatch = min(dispatch, time.perf_counter() - start)
     return (dispatch - baseline) / baseline * 100.0
 
 

@@ -69,9 +69,9 @@ def _bench_fluid(repeats: int):
     best = float("inf")
     runs = None
     for _ in range(repeats):
-        start = time.perf_counter()  # repro-lint: disable=RPR002
+        start = time.perf_counter()
         runs = solve_many(grid, FLUID_HORIZON, FLUID_DT)
-        best = min(best, time.perf_counter() - start)  # repro-lint: disable=RPR002
+        best = min(best, time.perf_counter() - start)
     summaries = [summarize(run, n_records=4) for run in runs]
     return {
         "points": len(grid),
@@ -88,9 +88,9 @@ def _bench_fluid(repeats: int):
 
 def _sharded_once(n, shards, jobs, horizon, loss):
     session = ShardedMulticastSession(n, shards, loss, seed=0)
-    start = time.perf_counter()  # repro-lint: disable=RPR002
+    start = time.perf_counter()
     out = session.run(horizon=horizon, jobs=jobs)
-    wall = time.perf_counter() - start  # repro-lint: disable=RPR002
+    wall = time.perf_counter() - start
     return wall, json.dumps(out["merged"], sort_keys=True), out["metrics"]
 
 

@@ -65,9 +65,9 @@ def _workload(n_timeouts: int) -> None:
 def _timed(n_timeouts: int) -> float:
     # This benchmark's whole point is host wall time: it measures the
     # kernel's observability-hook overhead.
-    start = time.perf_counter()  # repro-lint: disable=RPR002
+    start = time.perf_counter()
     _workload(n_timeouts)
-    return time.perf_counter() - start  # repro-lint: disable=RPR002
+    return time.perf_counter() - start
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -70,21 +70,21 @@ def _traced_run_all(seed: int):
     captured = []
     # Wall time is the denominator of the gate: this is deliberately
     # host time, not simulated time.
-    start = time.perf_counter()  # repro-lint: disable=RPR002
+    start = time.perf_counter()
     for exp_id in EXPERIMENTS:
         sink = RingBufferSink(capacity=None)
         tracer = Tracer(sink, categories=(PACKET, RECORD, FAULT, RUN))
         with _obs.tracing(tracer):
             run_experiment(exp_id, quick=True, seed=seed, jobs=1)
         captured.append((exp_id, sink.records()))
-    return time.perf_counter() - start, captured  # repro-lint: disable=RPR002
+    return time.perf_counter() - start, captured
 
 
 def _replay(captured, check: bool, repeats: int) -> float:
     """Best-of-N time to push every record through a (checking) sink."""
     best = float("inf")
     for _ in range(repeats):
-        start = time.perf_counter()  # repro-lint: disable=RPR002
+        start = time.perf_counter()
         for exp_id, records in captured:
             sink = CheckingSink(_NullSink()) if check else _NullSink()
             write = sink.write
@@ -99,7 +99,7 @@ def _replay(captured, check: bool, repeats: int) -> float:
                         file=sys.stderr,
                     )
                     raise SystemExit(1)
-        best = min(best, time.perf_counter() - start)  # repro-lint: disable=RPR002
+        best = min(best, time.perf_counter() - start)
     return best
 
 

@@ -201,7 +201,7 @@ class ResultCache:
             )
         # Host wall clock on purpose: gc reasons about file ages on the
         # host filesystem, never about simulation time.
-        cutoff = time.time() - max_age_days * 86400.0  # repro-lint: disable=RPR002
+        cutoff = time.time() - max_age_days * 86400.0
         removed = 0
         for path in self._entry_paths():
             try:

@@ -23,9 +23,7 @@ Subcommands:
   through the invariant library and print the verdict
   (see docs/SPEC.md);
 * ``chaos``      — property-test the invariants under seeded random
-  fault schedules (see docs/SPEC.md);
-* ``lint``       — static determinism checks: one pass over the given
-  paths, no options (see docs/LINT.md).
+  fault schedules (see docs/SPEC.md).
 
 Examples::
 
@@ -44,7 +42,6 @@ Examples::
     python -m repro check results/figure3/trace.jsonl
     python -m repro check --experiment figure3
     python -m repro chaos --runs 20 --seed 0 --jobs 4
-    python -m repro lint src benchmarks examples
 """
 
 from __future__ import annotations
@@ -702,15 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", help="also write the JSON report here"
     )
     chaos.set_defaults(func=_chaos)
-
-    lint = sub.add_parser(
-        "lint",
-        help="static determinism & simulation-safety analysis",
-    )
-    from repro.lint import cli as lint_cli
-
-    lint_cli.add_arguments(lint)
-    lint.set_defaults(func=lint_cli.run)
 
     return parser
 

@@ -10,12 +10,8 @@ time integral divided by the horizon — exactly how the paper says the
 metric "provides us with a method to empirically compute" it.
 
 The paper's closed forms implicitly count instants with an empty live
-set as zero consistency (the busy-probability factor rho in E[c]).  The
-meter makes that convention explicit and configurable:
-
-* ``empty_policy="zero"``  — empty system counts as c(t) = 0 (paper);
-* ``empty_policy="one"``   — vacuously consistent;
-* ``empty_policy="skip"``  — empty intervals excluded from the average.
+set as zero consistency (the busy-probability factor rho in E[c]), and
+so does the meter.
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ import math
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.record import DeadlineHeap, SoftStateTable
-
-_POLICIES = ("zero", "one", "skip")
 
 
 class ConsistencyMeter:
@@ -51,23 +45,16 @@ class ConsistencyMeter:
         self,
         publisher: SoftStateTable,
         subscribers: Iterable[SoftStateTable],
-        empty_policy: str = "zero",
         start_time: float = 0.0,
     ) -> None:
-        if empty_policy not in _POLICIES:
-            raise ValueError(
-                f"empty_policy must be one of {_POLICIES}, got {empty_policy!r}"
-            )
         self.publisher = publisher
         self.subscribers = list(subscribers)
         if not self.subscribers:
             raise ValueError("need at least one subscriber")
-        self.empty_policy = empty_policy
         self._last_time = start_time
         self._last_value: Optional[float] = None  # None = live set empty
         self._weighted_sum = 0.0
         self._observed_duration = 0.0
-        self._total_duration = 0.0
         self._series: List[Tuple[float, float]] = []
         self._record_series = False
         #: Matched-subscriber count per publisher key live at its last
@@ -145,30 +132,14 @@ class ConsistencyMeter:
             )
         interval = now - self._last_time
         if interval > 0:
-            self._accumulate(interval)
-            self._total_duration += interval
+            # An empty live set (None) counts as c(t) = 0.
+            if self._last_value is not None:
+                self._weighted_sum += self._last_value * interval
+            self._observed_duration += interval
             self._last_time = now
         self._last_value = self.instantaneous(now)
         if self._record_series:
-            self._series.append(
-                (now, self._effective_value(self._last_value))
-            )
-
-    def _accumulate(self, interval: float) -> None:
-        value = self._last_value
-        if value is None:
-            if self.empty_policy == "skip":
-                return
-            value = 0.0 if self.empty_policy == "zero" else 1.0
-        self._weighted_sum += value * interval
-        self._observed_duration += interval
-
-    def _effective_value(self, value: Optional[float]) -> float:
-        if value is not None:
-            return value
-        if self.empty_policy == "one":
-            return 1.0
-        return 0.0
+            self._series.append((now, self._last_value or 0.0))
 
     # -- results --------------------------------------------------------------
     def average(self) -> float:
@@ -179,7 +150,7 @@ class ConsistencyMeter:
 
     @property
     def duration(self) -> float:
-        """Total time folded into the average (excludes skipped gaps)."""
+        """Total time folded into the average."""
         return self._observed_duration
 
     def enable_series(self) -> None:

@@ -715,9 +715,9 @@ class Environment:
                     if countdown <= 0:
                         countdown = sample
                         for callback in callbacks:
-                            start = perf()  # repro-lint: disable=RPR002
+                            start = perf()
                             callback(event)
-                            elapsed = perf() - start  # repro-lint: disable=RPR002
+                            elapsed = perf() - start
                             owner = getattr(callback, "__self__", None)
                             if type(owner) is Process:
                                 key = getattr(owner._generator, "__name__", "?")

@@ -90,12 +90,12 @@ def run_experiment(
     run.cache_enabled = cache_store is not None
     # Run telemetry measures host wall time on purpose; the simulation
     # itself only ever sees env.now.
-    start = time.perf_counter()  # repro-lint: disable=RPR002
+    start = time.perf_counter()
     try:
         with caching(cache_store):
             result = runner(quick=quick, seed=seed, jobs=jobs)
     finally:
         _telemetry.end_run()
-    run.wall_s = time.perf_counter() - start  # repro-lint: disable=RPR002
+    run.wall_s = time.perf_counter() - start
     result.telemetry = run.as_dict()
     return result

@@ -100,14 +100,14 @@ def _run_cell(
             )
         # Host wall time is the *measurement target* here (per-cell cost
         # telemetry); it never feeds simulation state.
-        start = time.perf_counter()  # repro-lint: disable=RPR002
+        start = time.perf_counter()
         with _obs.cell_context() as ctx:
             if profiler is not None:
                 with _obs.profiling(profiler):
                     result = fn(**kwargs)
             else:
                 result = fn(**kwargs)
-        wall = time.perf_counter() - start  # repro-lint: disable=RPR002
+        wall = time.perf_counter() - start
         if tr is not None and tr.run:
             tr.emit(_RUN, "cell_end", None, index=index)
         peak = None

@@ -161,9 +161,9 @@ class ProfilingSink:
         self._account = profiler.account_category
 
     def write(self, record) -> None:
-        start = _perf_counter()  # repro-lint: disable=RPR002
+        start = _perf_counter()
         self._inner_write(record)
-        self._account(record[1], _perf_counter() - start)  # repro-lint: disable=RPR002
+        self._account(record[1], _perf_counter() - start)
 
     def flush(self) -> None:
         self.inner.flush()

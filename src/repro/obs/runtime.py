@@ -71,7 +71,7 @@ def install_tracer(tracer) -> None:
     global _tracer
     # Ambient by design: tracing() saves and restores this slot around
     # every scoped use, and a cell's trace rides in its cached meta.
-    _tracer = tracer  # repro-lint: disable=RPR104
+    _tracer = tracer
 
 
 def uninstall_tracer() -> None:
@@ -235,7 +235,7 @@ def note_events(count: int) -> None:
     if _cell is not None and count:
         # Accounting, not input: this feeds the cell's telemetry meta,
         # which the cache stores and replays alongside the result.
-        _cell.events += count  # repro-lint: disable=RPR104
+        _cell.events += count
 
 
 def note_rng_stream(stream_id: str) -> None:
@@ -253,7 +253,7 @@ def note_shard(info: Dict[str, int]) -> None:
     if _cell is not None:
         # Accounting, not input: the shard tag never reaches the cached
         # result payload, and cached replays deliberately omit it.
-        _cell.shard = dict(info)  # repro-lint: disable=RPR104
+        _cell.shard = dict(info)
 
 
 def next_session_label() -> str:
@@ -269,7 +269,7 @@ def next_session_label() -> str:
     sid = _global_session_counter
     # Fallback branch only: under a cell context (every cacheable run)
     # the guarded branch above numbers from per-cell state instead.
-    _global_session_counter = sid + 1  # repro-lint: disable=RPR104
+    _global_session_counter = sid + 1
     return f"s{sid}"
 
 
@@ -287,5 +287,5 @@ def next_trace_label(prefix: str) -> str:
     n = _global_label_counters.get(prefix, 0)
     # Fallback branch only: cacheable runs always execute under a cell
     # context, whose per-prefix numbering restarts deterministically.
-    _global_label_counters[prefix] = n + 1  # repro-lint: disable=RPR104
+    _global_label_counters[prefix] = n + 1
     return f"{prefix}{n}"

@@ -233,7 +233,6 @@ class BaseSession(FaultSurface, PublisherLifecycle, Session):
         refresh_estimator=None,
         tick: float = 1.0,
         record_series: bool = False,
-        empty_policy: str = "zero",
         faults=None,
     ) -> None:
         if data_kbps <= 0:
@@ -242,7 +241,6 @@ class BaseSession(FaultSurface, PublisherLifecycle, Session):
         super().__init__(seed=seed, tick=tick, faults=faults, workload=workload)
         self.data_kbps = data_kbps
         self.record_series = record_series or faults is not None
-        self.empty_policy = empty_policy
 
         loss = loss_model
         if loss is None:

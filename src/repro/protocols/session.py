@@ -54,8 +54,6 @@ class Session:
     #: seconds (forced samples aside); 0 samples on every call.  The
     #: grid defines the sampled time-average every render reports.
     SAMPLE_FRACTION = 0.25
-    #: Policy of the main consistency meter when the publisher is empty.
-    empty_policy = "zero"
 
     def __init__(
         self,
@@ -146,7 +144,6 @@ class Session:
         self.meter = ConsistencyMeter(
             self.publisher,
             self._mirror_tables(),
-            empty_policy=self.empty_policy,
             start_time=warmup,
         )
         if self.record_series:
@@ -160,7 +157,7 @@ class Session:
             table.expire(now)
         for meter in self._meters:
             meter.observe(now)
-        return self.meter._effective_value(self.meter._last_value)
+        return self.meter._last_value or 0.0
 
     def _observe(self, now: float, force: bool = False) -> None:
         """Sample the consistency meters, rate-limited.

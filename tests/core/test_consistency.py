@@ -63,9 +63,9 @@ def test_time_average_is_interval_weighted():
     assert meter.average() == pytest.approx(8.0 / 10.0)
 
 
-def test_empty_policy_zero_counts_empty_as_zero():
+def test_empty_live_set_counts_as_zero():
     publisher, subscriber = make_pair()
-    meter = ConsistencyMeter(publisher, [subscriber], empty_policy="zero")
+    meter = ConsistencyMeter(publisher, [subscriber])
     meter.observe(0.0)
     publisher.put("a", 1, now=5.0)
     subscriber.put("a", 1, now=5.0)
@@ -74,31 +74,8 @@ def test_empty_policy_zero_counts_empty_as_zero():
     assert meter.average() == pytest.approx(0.5)
 
 
-def test_empty_policy_one_counts_empty_as_one():
-    publisher, subscriber = make_pair()
-    meter = ConsistencyMeter(publisher, [subscriber], empty_policy="one")
-    meter.observe(0.0)
-    meter.observe(10.0)
-    assert meter.average() == pytest.approx(1.0)
-
-
-def test_empty_policy_skip_excludes_empty_intervals():
-    publisher, subscriber = make_pair()
-    meter = ConsistencyMeter(publisher, [subscriber], empty_policy="skip")
-    meter.observe(0.0)
-    publisher.put("a", 1, now=4.0)
-    meter.observe(4.0)  # 4 empty seconds skipped; now c=0 (sub missing)
-    subscriber.put("a", 1, now=6.0)
-    meter.observe(6.0)  # 2s of c=0
-    meter.observe(8.0)  # 2s of c=1
-    assert meter.duration == pytest.approx(4.0)
-    assert meter.average() == pytest.approx(0.5)
-
-
 def test_invalid_policy_and_empty_subscribers_rejected():
-    publisher, subscriber = make_pair()
-    with pytest.raises(ValueError):
-        ConsistencyMeter(publisher, [subscriber], empty_policy="maybe")
+    publisher, _ = make_pair()
     with pytest.raises(ValueError):
         ConsistencyMeter(publisher, [])
 

@@ -15,6 +15,16 @@ def test_same_seed_same_stream():
     assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
 
 
+def test_unseeded_family_is_the_seed_zero_family():
+    """``RngStreams()`` must not take its root from the host: two
+    processes that build one without a seed draw the same numbers."""
+    default, zero = RngStreams(), RngStreams(0)
+    assert default.seed == 0
+    assert [default["x"].random() for _ in range(3)] == [
+        zero["x"].random() for _ in range(3)
+    ]
+
+
 def test_different_names_are_decoupled():
     streams = RngStreams(seed=7)
     first = [streams["loss"].random() for _ in range(5)]

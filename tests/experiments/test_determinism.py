@@ -8,7 +8,9 @@ Two guarantees are pinned here:
     experiment, that render matches its seed-0 golden digest in
     ``benchsuite/golden.json``, and the merged metric block
     (``telemetry["registry"]``) matches its digest in
-    ``registry_digests.json`` next to this file;
+    ``registry_digests.json`` next to this file; and no cell body reads
+    an environment variable or opens a file, since the result cache
+    keys a cell by its kwargs and code alone;
 
 (b) the kernel's fast path (``__slots__``, inlined scheduling, the
     no-``Initialize`` process start) preserves the event loop's
@@ -18,14 +20,22 @@ Two guarantees are pinned here:
     kernel.
 """
 
+import builtins
+import contextlib
+import functools
 import hashlib
+import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from repro.cache import clear_memos
 from repro.des import Environment, Interrupt, RngStreams
 from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments import runner
 
 # -- (a) parallel rows == sequential rows == golden render --------------------
 
@@ -45,9 +55,49 @@ def _registry_digest(result):
     return hashlib.sha256(block.encode("utf-8")).hexdigest()
 
 
+@contextlib.contextmanager
+def _host_reads_in_cells():
+    """Yield a list that collects every ``os.environ`` key read and every
+    ``open()`` made inside a cell body (``fn(**kwargs)`` in
+    ``runner._run_cell``) run in this process."""
+    reads = []
+    environ_getitem = type(os.environ).__getitem__
+    real_open = io.open
+
+    def getitem(environ, key):
+        reads.append(f"os.environ[{key!r}]")
+        return environ_getitem(environ, key)
+
+    def opener(file, *args, **kwargs):
+        reads.append(f"open({file!r})")
+        return real_open(file, *args, **kwargs)
+
+    run_cell = runner._run_cell
+
+    def audited_run_cell(fn, index, kwargs):
+        @functools.wraps(fn)
+        def body(**cell_kwargs):
+            with mock.patch.object(type(os.environ), "__getitem__", getitem), \
+                    mock.patch.object(builtins, "open", opener), \
+                    mock.patch.object(io, "open", opener):
+                return fn(**cell_kwargs)
+
+        return run_cell(body, index, kwargs)
+
+    with mock.patch.object(runner, "_run_cell", audited_run_cell):
+        yield reads
+
+
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
 def test_parallel_rows_match_sequential(experiment_id):
-    sequential = run_experiment(experiment_id, quick=True, seed=0, jobs=1)
+    # Memoized solvers must run inside the cells, not answer from an
+    # earlier test's memo table; the store is off so every cell runs.
+    clear_memos()
+    with _host_reads_in_cells() as reads:
+        sequential = run_experiment(
+            experiment_id, quick=True, seed=0, jobs=1, cache=False
+        )
+    assert reads == [], f"{experiment_id} cells read host state: {reads}"
     parallel = run_experiment(experiment_id, quick=True, seed=0, jobs=4)
     assert parallel.rows == sequential.rows
     assert parallel.parameters == sequential.parameters
