@@ -4,16 +4,19 @@ Runs the full experiment suite twice in quick mode against a fresh
 store (``repro.cache``, docs/CACHE.md): the **cold** pass computes and
 persists every cell, the **warm** pass must serve every cell from the
 store.  The code-fingerprint memo is cleared between the passes, so the
-warm pass pays the key fingerprinting a fresh process pays.  Emits
+warm pass pays the key fingerprinting a fresh process pays: it re-reads
+and hashes every source and re-reads the store's scan index, but
+parses nothing the cold pass already scanned.  Emits
 ``BENCH_runall.json`` (cold vs warm wall time, hit/miss totals,
-speedup), annotated with the shared bench schema + host block via
+speedup, sources the warm pass parsed), annotated with the shared bench schema + host block via
 :mod:`annotate_bench` so files are comparable across revisions.
 
 Two CI-gable assertions:
 
-* ``--assert-warm`` — the warm pass took zero misses and rendered
+* ``--assert-warm`` — the warm pass took zero misses, rendered
   byte-identical outputs to the cold pass (the cache's correctness
-  contract, end to end);
+  contract, end to end) and parsed no source (the scan index served
+  every import scan);
 * ``--assert-overhead-pct P`` — with the cache *disabled*, the
   ``map_cells`` dispatch path costs at most P% over invoking the cell
   accounting loop directly (the ``--no-cache`` zero-cost promise).
@@ -41,6 +44,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from annotate_bench import record  # noqa: E402
 
 from repro.cache import caching, clear_fingerprint_cache  # noqa: E402
+from repro.cache.fingerprint import scan_stats  # noqa: E402
 from repro.experiments import EXPERIMENTS, run_experiment  # noqa: E402
 from repro.experiments.runner import _run_cell, map_cells  # noqa: E402
 
@@ -114,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         "--assert-warm",
         action="store_true",
         help="exit 1 unless the warm pass is 100%% hits with "
-        "byte-identical rendered output",
+        "byte-identical rendered output and parses no source",
     )
     parser.add_argument(
         "--assert-speedup",
@@ -151,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         warm_wall, warm_hits, warm_misses, warm_renders = _run_pass(
             ids, args.jobs, cache=True
         )
+        warm_parsed = scan_stats()["parsed"]
     finally:
         if scratch is not None:
             scratch.cleanup()
@@ -169,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         "warm": {"wall_s": warm_wall, "hits": warm_hits, "misses": warm_misses},
         "warm_speedup": speedup,
         "warm_identical": identical,
+        "warm_parsed_sources": warm_parsed,
         "no_cache_overhead_pct": overhead_pct,
     }
     record(args.out, payload)
@@ -176,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"cold pass : {cold_wall:.3f} s  ({cold_misses} cells computed)")
     print(f"warm pass : {warm_wall:.3f} s  ({warm_hits} cells from store)")
     print(f"speedup   : {speedup:.1f}x    identical output: {identical}")
+    print(f"warm pass parsed {warm_parsed} sources")
     if overhead_pct is not None:
         print(f"--no-cache dispatch overhead: {overhead_pct:.2f}%")
 
@@ -193,6 +200,11 @@ def main(argv: list[str] | None = None) -> int:
                 if warm_renders[experiment_id] != cold_renders[experiment_id]
             )
             failed.append(f"warm output diverged for {diverged}")
+        if warm_parsed != 0:
+            failed.append(
+                f"warm pass parsed {warm_parsed} sources; the store's "
+                "scan index should have served every scan"
+            )
     if args.assert_speedup is not None and speedup < args.assert_speedup:
         failed.append(
             f"warm speedup {speedup:.1f}x below required "

@@ -14,9 +14,20 @@ in-scope module is followed, including imports inside function bodies
 (the repo's lazy-import idiom).  Static discovery keeps fingerprinting
 independent of import side effects and lets the closure be computed
 without executing anything.  An import is always a statement, so the
-scan visits statement lists only, never expressions; each source is
-scanned once per process, keyed by its content, so a module shared by
-many closures is parsed once however many cells it serves.
+scan visits statement lists only, never expressions.
+
+Each source is read and hashed once per process, and its scan is kept
+in a memo with one entry per module: the package flag, the source's
+SHA-256 and the imported names.  An entry is reused only while all of
+those match, so a module shared by many closures is parsed once however
+many cells it serves.  The scan is a pure function of the source, the
+module name, the package flag, the Python version and this scanner, so
+the memo can outlive the process: given an ``index`` path,
+:func:`code_fingerprint` seeds the memo from that JSON file once per
+process and rewrites it (atomically) only when it had to parse
+something.  The result store keeps one such index at its root, so a
+warm process hashes sources instead of parsing them.  A missing,
+corrupt or foreign index, or one that cannot be written, is ignored.
 
 Conservatism cuts the safe way: a module that is imported but unused
 still invalidates (spurious recompute, never a stale hit), while
@@ -30,12 +41,16 @@ import ast
 import functools
 import hashlib
 import importlib.util
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import json
+import os
+import sys
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "clear_fingerprint_cache",
     "code_fingerprint",
     "module_closure",
+    "scan_stats",
 ]
 
 #: Module-name prefixes whose sources participate in fingerprints.
@@ -47,15 +62,36 @@ _STATEMENT_LISTS = ("body", "orelse", "finalbody", "handlers", "cases")
 
 #: Per-process memo: (module, prefixes) -> fingerprint hex digest.
 _fingerprints: Dict[Tuple[str, Tuple[str, ...]], str] = {}
-#: Per-process memo: (module, is_package, source SHA-256) -> imports.
-_imports: Dict[Tuple[str, bool, bytes], Tuple[str, ...]] = {}
+#: Per-process memo: path -> (source, SHA-256 hex), ``None`` if unreadable.
+_sources: Dict[str, Optional[Tuple[bytes, str]]] = {}
+#: Scan memo: module -> (is_package, source SHA-256 hex, imported names).
+_scans: Dict[str, Tuple[bool, str, Tuple[str, ...]]] = {}
+#: Index path -> the parse count when this process last read or wrote it.
+_indexes: Dict[str, int] = {}
+#: Sources parsed since the last clear.
+_stats: Dict[str, int] = {"parsed": 0}
 
 
 def clear_fingerprint_cache() -> None:
-    """Forget computed fingerprints, paths and scans (sources rewritten)."""
+    """Forget fingerprints, paths, sources, scans and loaded indexes.
+
+    Afterwards the process behaves like a fresh one: it re-reads each
+    source, re-reads a store's scan index on its next key, and parses
+    only what that index does not cover (tests that rewrite sources
+    mid-process, benchmarks timing a fresh process's keys).  The
+    :func:`scan_stats` count restarts at zero.
+    """
     _fingerprints.clear()
     _source_path.cache_clear()
-    _imports.clear()
+    _sources.clear()
+    _scans.clear()
+    _indexes.clear()
+    _stats["parsed"] = 0
+
+
+def scan_stats() -> Dict[str, int]:
+    """``parsed``: the sources parsed since the last clear."""
+    return dict(_stats)
 
 
 def _in_scope(name: str, prefixes: Sequence[str]) -> bool:
@@ -76,6 +112,19 @@ def _source_path(module: str) -> Optional[str]:
     return spec.origin if spec.origin.endswith(".py") else None
 
 
+def _read_source(path: str) -> Optional[Tuple[bytes, str]]:
+    """``path``'s bytes and their SHA-256 hex, read once per process."""
+    if path not in _sources:
+        try:
+            with open(path, "rb") as handle:
+                source = handle.read()
+        except OSError:
+            _sources[path] = None
+        else:
+            _sources[path] = (source, hashlib.sha256(source).hexdigest())
+    return _sources[path]
+
+
 def _import_statements(tree: ast.Module) -> Iterator[ast.stmt]:
     """Every import statement in ``tree``, expressions left unvisited."""
     pending: List[ast.AST] = list(tree.body)
@@ -89,13 +138,15 @@ def _import_statements(tree: ast.Module) -> Iterator[ast.stmt]:
 
 
 def _imported_modules(
-    source: bytes, module: str, is_package: bool
+    source: bytes, sha: str, module: str, is_package: bool
 ) -> Tuple[str, ...]:
     """Every module name ``module``'s source imports, relative resolved."""
-    key = (module, is_package, hashlib.sha256(source).digest())
-    if key not in _imports:
-        _imports[key] = tuple(_scan(source, module, is_package))
-    return _imports[key]
+    entry = _scans.get(module)
+    if entry is None or entry[:2] != (is_package, sha):
+        _stats["parsed"] += 1
+        entry = (is_package, sha, tuple(_scan(source, module, is_package)))
+        _scans[module] = entry
+    return entry[2]
 
 
 def _scan(source: bytes, module: str, is_package: bool) -> Iterator[str]:
@@ -123,6 +174,76 @@ def _scan(source: bytes, module: str, is_package: bool) -> Iterator[str]:
                     yield f"{prefix}.{alias.name}"
 
 
+# -- the persistent scan index ------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _scanner() -> Dict[str, str]:
+    """What besides a source's bytes and name decides its scan."""
+    with open(__file__, "rb") as handle:
+        scanner = hashlib.sha256(handle.read()).hexdigest()
+    return {"python": "%d.%d" % sys.version_info[:2], "scanner": scanner}
+
+
+def _valid_entry(entry: Any) -> bool:
+    return (
+        isinstance(entry, list)
+        and len(entry) == 3
+        and isinstance(entry[0], bool)
+        and isinstance(entry[1], str)
+        and isinstance(entry[2], list)
+        and all(isinstance(name, str) for name in entry[2])
+    )
+
+
+def _load_index(path: str) -> None:
+    """Seed the scan memo from the index at ``path``; ignore a bad one."""
+    _indexes[path] = _stats["parsed"]
+    try:
+        with open(path, "rb") as handle:
+            payload = json.load(handle)
+    except (OSError, ValueError):
+        # Missing, unreadable, truncated or not JSON: parse instead.
+        return
+    if not isinstance(payload, dict):
+        return
+    scans = payload.pop("scans", None)
+    if (
+        payload != _scanner()
+        or not isinstance(scans, dict)
+        or not all(_valid_entry(entry) for entry in scans.values())
+    ):
+        return
+    for module, (is_package, sha, imports) in scans.items():
+        # An entry this process scanned itself is at least as fresh.
+        _scans.setdefault(module, (is_package, sha, tuple(imports)))
+
+
+def _save_index(path: str) -> None:
+    """Write the scan memo to ``path`` atomically; ignore a failure."""
+    _indexes[path] = _stats["parsed"]
+    payload = dict(_scanner())
+    payload["scans"] = {
+        module: [is_package, sha, list(imports)]
+        for module, (is_package, sha, imports) in sorted(_scans.items())
+    }
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as handle:
+            # ``dumps`` takes the C encoder; ``dump`` would not.
+            handle.write(json.dumps(payload, separators=(",", ":")))
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
+# -- closures and fingerprints ------------------------------------------------
+
+
 def module_closure(
     root: str, prefixes: Sequence[str] = DEFAULT_PREFIXES
 ) -> Dict[str, str]:
@@ -141,22 +262,25 @@ def module_closure(
         if path is None:
             continue
         closure[name] = path
-        try:
-            with open(path, "rb") as handle:
-                source = handle.read()
-        except OSError:
+        read = _read_source(path)
+        if read is None:
             continue
         is_package = path.endswith("__init__.py")
-        for imported in _imported_modules(source, name, is_package):
-            if imported in seen or not _in_scope(imported, prefixes):
+        for imported in _imported_modules(*read, name, is_package):
+            if imported in seen:
                 continue
+            # Out-of-scope names join ``seen`` too: stdlib imports recur
+            # in most modules, so each is scope-checked once per walk.
             seen.add(imported)
-            pending.append(imported)
+            if _in_scope(imported, prefixes):
+                pending.append(imported)
     return closure
 
 
 def code_fingerprint(
-    module: str, prefixes: Sequence[str] = DEFAULT_PREFIXES
+    module: str,
+    prefixes: Sequence[str] = DEFAULT_PREFIXES,
+    index: Optional[str] = None,
 ) -> str:
     """SHA-256 over the sorted transitive source closure of ``module``.
 
@@ -164,12 +288,16 @@ def code_fingerprint(
     for the lifetime of a run, and recomputing it per cell would cost
     more than the cells themselves for analytic grids.  Below that memo,
     each module name is resolved to its path once and each source is
-    scanned once, so experiments that share modules share their scans.
+    read, hashed and scanned once, so experiments that share modules
+    share their scans.  ``index`` names a JSON scan index that seeds the
+    scan memo on first use and is rewritten when a scan was missing.
     """
     memo_key = (module, tuple(prefixes))
     cached = _fingerprints.get(memo_key)
     if cached is not None:
         return cached
+    if index is not None and index not in _indexes:
+        _load_index(index)
     digest = hashlib.sha256()
     closure = module_closure(module, prefixes)
     if not closure:
@@ -177,12 +305,11 @@ def code_fingerprint(
     for name in sorted(closure):
         digest.update(name.encode())
         digest.update(b"\0")
-        try:
-            with open(closure[name], "rb") as handle:
-                digest.update(handle.read())
-        except OSError:
-            digest.update(b"<unreadable>")
+        read = _read_source(closure[name])
+        digest.update(b"<unreadable>" if read is None else read[0])
         digest.update(b"\0")
     fingerprint = digest.hexdigest()
     _fingerprints[memo_key] = fingerprint
+    if index is not None and _stats["parsed"] > _indexes[index]:
+        _save_index(index)
     return fingerprint

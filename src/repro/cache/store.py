@@ -7,6 +7,12 @@ different payload, so concurrent runs can share a store: writes go
 through a same-directory temp file and an atomic ``os.replace``, and
 readers either see a complete entry or none.
 
+Beside the entries, ``<root>/scans.json`` holds the code fingerprint's
+import scans (:mod:`repro.cache.fingerprint`), so a process that keys
+cells against a filled store hashes sources instead of parsing them.
+It is derived data: ``stats`` does not count it, ``clear`` and ``gc``
+delete it, and the next key that has to parse a source rebuilds it.
+
 The store is strictly **best-effort**.  Every failure mode — missing
 file, truncated pickle, schema drift, key mismatch, a full disk on
 write — degrades to "recompute the cell", never to an error and never
@@ -29,6 +35,8 @@ __all__ = ["CacheEntry", "CacheStats", "ResultCache", "default_cache_dir"]
 
 #: Default store location, overridable via ``REPRO_CACHE_DIR``.
 DEFAULT_CACHE_DIR = os.path.join("results", ".cache")
+#: The fingerprint's scan index, at the store root.
+SCAN_INDEX = "scans.json"
 
 
 def default_cache_dir() -> str:
@@ -59,11 +67,13 @@ class ResultCache:
 
     def __init__(self, root: Optional[str] = None) -> None:
         self.root = root or default_cache_dir()
+        self.scan_index = os.path.join(self.root, SCAN_INDEX)
 
     # -- keys ---------------------------------------------------------------
     def key_for(self, fn: Callable[..., Any], kwargs: dict) -> str:
         """The content address of ``fn(**kwargs)`` under current sources."""
-        return cell_key(fn, kwargs, code_fingerprint(fn.__module__))
+        fingerprint = code_fingerprint(fn.__module__, index=self.scan_index)
+        return cell_key(fn, kwargs, fingerprint)
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.pkl")
@@ -178,8 +188,15 @@ class ResultCache:
                 pass
         return CacheStats(root=self.root, entries=len(paths), total_bytes=total)
 
+    def _drop_scan_index(self) -> None:
+        try:
+            os.unlink(self.scan_index)
+        except OSError:
+            pass
+
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry and the scan index; returns the entry count."""
+        self._drop_scan_index()
         removed = 0
         for path in self._entry_paths():
             try:
@@ -194,6 +211,8 @@ class ResultCache:
 
         Recency is the entry file's mtime, refreshed on every hit, so
         this is least-recently-*used* eviction, not write-age eviction.
+        The scan index is deleted too, which drops the scans of modules
+        that no longer exist; the next key that parses rebuilds it.
         """
         if max_age_days < 0:
             raise ValueError(
@@ -202,6 +221,7 @@ class ResultCache:
         # Host wall clock on purpose: gc reasons about file ages on the
         # host filesystem, never about simulation time.
         cutoff = time.time() - max_age_days * 86400.0
+        self._drop_scan_index()
         removed = 0
         for path in self._entry_paths():
             try:

@@ -33,11 +33,19 @@ cache sound.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import tracemalloc
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.cache import runtime as _cache_runtime
 from repro.obs import runtime as _obs
@@ -45,6 +53,9 @@ from repro.obs import telemetry as _telemetry
 from repro.obs.profile import Profiler, profile_enabled
 from repro.obs.telemetry import CellMeta
 from repro.obs.trace import RUN as _RUN
+
+if TYPE_CHECKING:
+    import multiprocessing.context
 
 __all__ = ["CellError", "map_cells", "resolve_jobs"]
 
@@ -268,7 +279,14 @@ def map_cells(
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (no re-import, inherits sys.path); fall back to spawn."""
+    """Prefer fork (no re-import, inherits sys.path); fall back to spawn.
+
+    ``multiprocessing`` is imported here, not at module level: a process
+    that never opens a pool (``jobs=1``, or every cell a cache hit)
+    does not pay for the import.
+    """
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")

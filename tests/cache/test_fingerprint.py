@@ -213,20 +213,6 @@ def test_statement_scan_matches_full_walk_on_repro_sources():
         assert set(scanned) == walked, path
 
 
-@pytest.fixture
-def parses(monkeypatch):
-    """The sources ``ast.parse`` is handed, in call order."""
-    seen = []
-    parse = ast.parse
-
-    def counting(source, *args, **kwargs):
-        seen.append(source)
-        return parse(source, *args, **kwargs)
-
-    monkeypatch.setattr(ast, "parse", counting)
-    return seen
-
-
 def test_shared_module_is_parsed_once(temp_package, parses):
     (temp_package / "delta.py").write_text(f"from {PKG} import beta\n")
     code_fingerprint(f"{PKG}.alpha", prefixes=(PKG,))
@@ -237,24 +223,49 @@ def test_shared_module_is_parsed_once(temp_package, parses):
     assert len(parses) == 5
 
 
+#: The experiments the benchmark suite's ``warm`` workload re-reads.
+WARM_ROOTS = [
+    f"repro.experiments.{name}"
+    for name in ("figure8", "ext_convergence", "ext_resilience", "figure10")
+]
+
+
 def test_warm_experiments_parse_each_closure_source_once(parses):
-    # The experiments the benchmark suite's ``warm`` workload re-reads.
-    roots = [
-        f"repro.experiments.{name}"
-        for name in ("figure8", "ext_convergence", "ext_resilience", "figure10")
-    ]
     clear_fingerprint_cache()
     union = set()
-    for root in roots:
+    for root in WARM_ROOTS:
         union |= set(module_closure(root))
     clear_fingerprint_cache()
     del parses[:]
     try:
-        for root in roots:
+        for root in WARM_ROOTS:
             code_fingerprint(root)
     finally:
         clear_fingerprint_cache()
     assert len(parses) == len(union)
+
+
+def test_warm_experiments_read_each_closure_source_once(monkeypatch):
+    clear_fingerprint_cache()
+    union = set()
+    for root in WARM_ROOTS:
+        union |= set(module_closure(root).values())
+    clear_fingerprint_cache()
+    opened = []
+    real_open = open
+
+    def counting(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    try:
+        for root in WARM_ROOTS:
+            code_fingerprint(root)
+    finally:
+        monkeypatch.undo()
+        clear_fingerprint_cache()
+    assert sorted(opened) == sorted(union)
 
 
 def test_rewritten_source_is_rescanned_after_clear(temp_package):

@@ -120,7 +120,7 @@ def test_code_change_invalidates_keys(cache, monkeypatch):
         map_cells(_counting_cell, CELLS, jobs=1)
     assert CALLS["n"] == 3
     monkeypatch.setattr(
-        store_mod, "code_fingerprint", lambda module: "0" * 64
+        store_mod, "code_fingerprint", lambda module, **_: "0" * 64
     )
     with caching(cache):
         map_cells(_counting_cell, CELLS, jobs=1)
