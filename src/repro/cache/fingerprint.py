@@ -13,7 +13,9 @@ parsed with :mod:`ast` and every ``import``/``from ... import`` of an
 in-scope module is followed, including imports inside function bodies
 (the repo's lazy-import idiom).  Static discovery keeps fingerprinting
 independent of import side effects and lets the closure be computed
-without executing anything.  An import is always a statement, so the
+without executing anything: module names resolve to source files on
+disk, through the parent package's search locations, never by
+importing the parent.  An import is always a statement, so the
 scan visits statement lists only, never expressions.
 
 Each source is read and hashed once per process, and its scan is kept
@@ -40,6 +42,7 @@ from __future__ import annotations
 import ast
 import functools
 import hashlib
+import importlib.machinery
 import importlib.util
 import json
 import os
@@ -82,6 +85,7 @@ def clear_fingerprint_cache() -> None:
     :func:`scan_stats` count restarts at zero.
     """
     _fingerprints.clear()
+    _spec.cache_clear()
     _source_path.cache_clear()
     _sources.clear()
     _scans.clear()
@@ -101,10 +105,36 @@ def _in_scope(name: str, prefixes: Sequence[str]) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
+def _spec(module: str) -> Any:
+    """``module``'s spec, found without importing (executing) anything.
+
+    A loaded module answers from ``sys.modules``; a top-level name is
+    looked up on ``sys.path``; a submodule is looked up on its parent
+    package's search locations.  ``importlib.util.find_spec`` would
+    import the parent instead.
+    """
+    loaded = sys.modules.get(module)
+    if loaded is not None:
+        return getattr(loaded, "__spec__", None)
+    parent = module.rpartition(".")[0]
+    if not parent:
+        return importlib.util.find_spec(module)
+    loaded = sys.modules.get(parent)
+    if loaded is not None:
+        locations = getattr(loaded, "__path__", None)
+    else:
+        spec = _spec(parent)
+        locations = spec and spec.submodule_search_locations
+    if not locations:
+        return None
+    return importlib.machinery.PathFinder.find_spec(module, list(locations))
+
+
+@functools.lru_cache(maxsize=None)
 def _source_path(module: str) -> Optional[str]:
     """The module's source file, or ``None`` (builtins, namespaces)."""
     try:
-        spec = importlib.util.find_spec(module)
+        spec = _spec(module)
     except (ImportError, ValueError, AttributeError):
         return None
     if spec is None or spec.origin in (None, "built-in", "frozen"):

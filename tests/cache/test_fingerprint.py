@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -51,10 +54,6 @@ def temp_package(tmp_path, monkeypatch):
     importlib.invalidate_caches()
     clear_fingerprint_cache()
     yield root
-    # find_spec on dotted names imports the parent package; evict it so
-    # the next test's tmp_path copy is rediscovered fresh.
-    for name in [m for m in sys.modules if m.split(".")[0] == PKG]:
-        del sys.modules[name]
     importlib.invalidate_caches()
     clear_fingerprint_cache()
 
@@ -125,10 +124,39 @@ def test_relative_imports_resolve(tmp_path, monkeypatch):
         closure = module_closure(f"{name}.outer", prefixes=(name,))
         assert f"{name}.inner" in closure
     finally:
-        for mod in [m for m in sys.modules if m.split(".")[0] == name]:
-            del sys.modules[mod]
         importlib.invalidate_caches()
         clear_fingerprint_cache()
+
+
+def test_fingerprint_imports_nothing(temp_package):
+    _fingerprint()
+    assert not [name for name in sys.modules if name.split(".")[0] == PKG]
+
+
+#: Keys every registered experiment module in a process that has only
+#: imported the registry; prints the modules that keying imported.
+KEY_ALL = """
+import json, sys
+from repro.cache.fingerprint import code_fingerprint
+from repro.experiments import EXPERIMENTS
+before = set(sys.modules)
+for module in sorted({run.__module__ for run in EXPERIMENTS.values()}):
+    code_fingerprint(module)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_keying_every_experiment_imports_no_module():
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", KEY_ALL],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(done.stdout) == []
 
 
 def test_repro_experiment_closure_is_deep():

@@ -9,7 +9,6 @@ an error.
 import importlib
 import json
 import os
-import sys
 
 import pytest
 
@@ -132,8 +131,6 @@ def package(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(tmp_path / "src"))
     importlib.invalidate_caches()
     yield root
-    for name in [m for m in sys.modules if m.split(".")[0] == PKG]:
-        del sys.modules[name]
     importlib.invalidate_caches()
 
 
