@@ -14,8 +14,7 @@ hashes exactly four things:
 * the **cache schema version** — bumping :data:`CACHE_SCHEMA_VERSION`
   orphans every existing entry at once;
 * the **code fingerprint** — see :mod:`repro.cache.fingerprint`;
-* the **environment pin** — the numpy version (or ``None`` when numpy
-  is absent).  The fluid backend draws through numpy's bit
+* the **environment pin** — the numpy version.  The fluid backend draws through numpy's bit
   generators, whose stream layouts numpy only guarantees within a
   version, so an upgrade must orphan vectorized results rather than
   replay them.
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 __all__ = ["CACHE_SCHEMA_VERSION", "canonicalize", "cell_key"]
 
@@ -36,15 +35,13 @@ __all__ = ["CACHE_SCHEMA_VERSION", "canonicalize", "cell_key"]
 CACHE_SCHEMA_VERSION = 1
 
 
-def _numpy_version() -> Optional[str]:
-    """The installed numpy version, or ``None`` without numpy.
+def _numpy_version() -> str:
+    """The installed numpy version.
 
     Module-level so tests can monkeypatch a simulated upgrade.
     """
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - image always ships numpy
-        return None
+    import numpy
+
     return numpy.__version__
 
 

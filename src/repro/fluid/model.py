@@ -37,24 +37,21 @@ the discrete chain's ``lambda * q * P_m`` flow at equilibrium); the
 hazard ``h`` drives the dynamics only.
 
 The integrator is classical fixed-step RK4, vectorized over a whole
-grid of parameter cells with numpy when available and falling back to
-an identical scalar loop otherwise — both paths evaluate the same
-expressions in the same order, so their float64 trajectories are
-byte-identical (pinned by ``tests/fluid/test_model.py``).
+grid of parameter cells with numpy.  A scalar per-cell loop evaluates
+the same expressions in the same order and stays as the reference:
+``tests/fluid/test_model.py`` pins the two float64 trajectories
+byte-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
+
+import numpy as np
 
 from repro.net.loss import GilbertElliottLoss, LossModel
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
 
 __all__ = [
     "DEFAULT_DT",
@@ -306,10 +303,7 @@ def solve_many(
     nu = [r.update for r in rates]
     gamma = [r.churn for r in rates]
     fe = [r.false_expiry for r in rates]
-    if _np is not None:
-        series = _integrate_numpy(a, h, nu, gamma, fe, steps, dt)
-    else:
-        series = _integrate_python(a, h, nu, gamma, fe, steps, dt)
+    series = _integrate_numpy(a, h, nu, gamma, fe, steps, dt)
     times = [i * dt for i in range(steps + 1)]
     runs = []
     for index, (params, cell_rates) in enumerate(zip(params_list, rates)):
@@ -330,11 +324,11 @@ def solve_many(
 
 # -- integrators ------------------------------------------------------------
 #
-# Both paths compute the identical expressions in the identical order:
+# Both compute the identical expressions in the identical order:
 # numpy's elementwise float64 ops round exactly like scalar python
-# floats, so the trajectories agree to the last bit and the fallback is
-# a true drop-in (no tolerance laundering in the cross-validation
-# tests).  The derivative uses the n-eliminated form:
+# floats, so the trajectories agree to the last bit and the scalar loop
+# is an exact reference (no tolerance laundering in the
+# cross-validation tests).  The derivative uses the n-eliminated form:
 #
 #   dc = a*(1 - c) - (nu + h + gamma)*c      [a*(n+s+f) = a*(1-c)]
 #   ds = nu*c - (a + h + gamma)*s
@@ -343,7 +337,6 @@ def solve_many(
 
 
 def _integrate_numpy(a, h, nu, gamma, fe, steps, dt):
-    np = _np
     a = np.asarray(a, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
@@ -404,7 +397,7 @@ def _integrate_numpy(a, h, nu, gamma, fe, steps, dt):
 
 
 def _integrate_python(a, h, nu, gamma, fe, steps, dt):
-    """Scalar fallback: the defining per-cell RK4 loop."""
+    """The scalar reference: the defining per-cell RK4 loop."""
     series = []
     half = 0.5 * dt
     sixth = dt / 6.0

@@ -4,8 +4,7 @@ Section 3 models the network as a single FIFO server with service rate
 ``mu_ch`` (the session bandwidth) whose transmissions are independently
 lost with probability ``p_l``.  :class:`Channel` implements exactly
 that; :class:`MulticastChannel` extends it with per-receiver independent
-loss, and :class:`DuplexPath` pairs a forward data channel with a
-reverse feedback channel.
+loss.  A session with feedback runs one :class:`Channel` per direction.
 
 Multicast fan-out (docs/KERNEL.md, "Multicast fan-out"): the hot loop
 walks a dense dispatch registry — one row per receiver that can be
@@ -23,7 +22,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.des import Environment, Event
 from repro.des.core import URGENT
 from repro.net.loss import BernoulliLoss, LossModel, NoLoss, TotalLoss
-from repro.net.packet import Packet, kbps_to_pps
+from repro.net.packet import Packet
 from repro.obs import runtime as _obs
 from repro.obs.trace import PACKET as _PACKET
 
@@ -56,7 +55,6 @@ class _FifoServer:
         self._waiting: deque[tuple[Packet, Optional[Event]]] = deque()
         self._serving: Optional[Event] = None
         self._busy = True  # until the start entry pops
-        self._serviced_hooks: list[Callable[[Packet, Any], None]] = []
         self.packets_sent = 0
         start = Event(env)
         start.callbacks.append(self._next)
@@ -90,11 +88,6 @@ class _FifoServer:
             timer = self.env.timeout(self.service_time(packet), packet)
             timer.callbacks.append(self._on_serviced)
 
-    def on_serviced(self, hook: Callable[[Packet, Any], None]) -> None:
-        """Register ``hook(packet, outcome)`` called after every service;
-        ``outcome`` is the loss outcome a :meth:`transmit` event carries."""
-        self._serviced_hooks.append(hook)
-
     def transmit(self, packet: Packet) -> Event:
         """Enqueue ``packet`` and return an event for its service completion.
 
@@ -125,10 +118,8 @@ class _FifoServer:
         else:
             self._busy = False
 
-    def _complete(self, packet: Packet, outcome: Any) -> None:
-        """Run the serviced hooks, then wake a pull-mode sender."""
-        for hook in self._serviced_hooks:
-            hook(packet, outcome)
+    def _complete(self, outcome: Any) -> None:
+        """Wake a pull-mode sender with its packet's loss outcome."""
         completion = self._serving
         if completion is not None:
             self._serving = None
@@ -142,10 +133,8 @@ class Channel(_FifoServer):
     model decides whether the packet reaches the subscriber(s).  An
     optional fixed propagation ``delay`` is added post-service.
 
-    ``on_serviced`` hooks fire for every serviced packet with the loss
-    outcome — protocols use this to account bandwidth and to drive
-    per-transmission death processes.  A :meth:`transmit` completion's
-    value is the loss outcome (True = lost).
+    A :meth:`transmit` completion's value is the loss outcome (True =
+    lost); pull-mode senders read it to account each transmission.
     """
 
     def __init__(
@@ -170,11 +159,6 @@ class Channel(_FifoServer):
         """Register a delivery callback for surviving packets."""
         self._sinks.append(sink)
 
-    @property
-    def service_rate_pps(self) -> float:
-        """Service rate in default-size packets per second."""
-        return kbps_to_pps(self.rate_kbps)
-
     # -- internals ----------------------------------------------------------
     def _on_serviced(self, timer: Event) -> None:
         packet = timer._value
@@ -194,7 +178,7 @@ class Channel(_FifoServer):
                 lost=lost,
                 chan=self.chan,
             )
-        self._complete(packet, lost)
+        self._complete(lost)
         if lost:
             self.packets_dropped += 1
             if tr is not None and tr.packet:
@@ -293,11 +277,11 @@ class MulticastChannel(_FifoServer):
         self._receivers: Dict[Any, tuple[LossModel, Callable[[Packet], None]]] = {}
         self._blocked: set[Any] = set()
         self._registry: Optional[_FanoutRegistry] = None
-        #: Per-receiver announcement exposure counts, folded lazily: the
-        #: service bumps one epoch counter per packet and membership
-        #: changes / loss-rate queries credit the epoch to every current
-        #: member, so exposure tracking is O(1) per packet.
-        self._exposures: Dict[Any, int] = {}
+        #: Announcement exposures (one per packet per joined member),
+        #: folded lazily: the service bumps one epoch counter per packet
+        #: and membership changes / loss-rate queries credit the epoch
+        #: times the current member count, so tracking is O(1).
+        self._exposures = 0
         self._epoch_packets = 0
         #: Delivery counts are folded just as lazily: the fan-out loop
         #: appends surviving receiver ids to ``_delivery_hits`` and the
@@ -323,7 +307,6 @@ class MulticastChannel(_FifoServer):
         self._fold_exposures()
         self._receivers[receiver_id] = (loss if loss is not None else NoLoss(), sink)
         self._delivered.setdefault(receiver_id, 0)
-        self._exposures.setdefault(receiver_id, 0)
         self._registry = None
 
     def leave(
@@ -353,26 +336,11 @@ class MulticastChannel(_FifoServer):
         self._blocked.discard(receiver_id)
         self._registry = None
 
-    def invalidate_registry(self) -> None:
-        """Drop the cached fan-out registry.
-
-        Membership calls (:meth:`join`/:meth:`leave`/:meth:`block`/
-        :meth:`unblock`) invalidate automatically; call this after
-        mutating a joined receiver's loss model *in place* (changing a
-        Bernoulli rate, swapping its entry's model object) so the
-        fan-out re-reads it.
-        """
-        self._registry = None
-
     # -- observed loss ------------------------------------------------------
     def _fold_exposures(self) -> None:
         """Credit the current epoch's packets to every current member."""
-        epoch = self._epoch_packets
-        if epoch:
-            exposures = self._exposures
-            for receiver_id in self._receivers:
-                exposures[receiver_id] += epoch
-            self._epoch_packets = 0
+        self._exposures += self._epoch_packets * len(self._receivers)
+        self._epoch_packets = 0
 
     def _fold_delivery_hits(self) -> None:
         """Fold pending fan-out delivery hits into the counts."""
@@ -399,26 +367,10 @@ class MulticastChannel(_FifoServer):
         ``1 - delivered / exposures`` over the whole session history.
         """
         self._fold_exposures()
-        total_exposed = sum(self._exposures.values())
-        if total_exposed == 0:
+        if self._exposures == 0:
             return 0.0
         total_delivered = sum(self.delivered_per_receiver.values())
-        return 1.0 - total_delivered / total_exposed
-
-    @property
-    def receiver_loss_rates(self) -> Dict[Any, float]:
-        """Per-receiver empirical loss fractions (receivers never
-        exposed to a packet report 0.0)."""
-        self._fold_exposures()
-        exposures = self._exposures
-        return {
-            receiver_id: (
-                1.0 - delivered / exposures[receiver_id]
-                if exposures.get(receiver_id)
-                else 0.0
-            )
-            for receiver_id, delivered in self.delivered_per_receiver.items()
-        }
+        return 1.0 - total_delivered / self._exposures
 
     # -- internals ----------------------------------------------------------
     def _on_serviced(self, timer: Event) -> None:
@@ -441,7 +393,7 @@ class MulticastChannel(_FifoServer):
                 lost=sum(1 for v in outcomes.values() if v),
                 chan=self.chan,
             )
-        self._complete(packet, outcomes)
+        self._complete(outcomes)
         self._next()
 
     def _fanout(self, packet: Packet, tr) -> Dict[Any, bool]:
@@ -532,43 +484,3 @@ class MulticastChannel(_FifoServer):
     def _deliver_after(self, packet: Packet, sink: Callable[[Packet], None]):
         yield self.env.timeout(self.delay)
         sink(packet)
-
-
-class DuplexPath:
-    """A forward data channel paired with a reverse feedback channel.
-
-    Sections 5-6 allocate the session bandwidth between data (forward)
-    and feedback (reverse NACKs / receiver reports).  Both directions
-    are lossy; by default the reverse path shares the forward path's
-    mean loss rate, matching a symmetric network.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        data_kbps: float,
-        feedback_kbps: float,
-        data_loss: LossModel | None = None,
-        feedback_loss: LossModel | None = None,
-        delay: float = 0.0,
-    ) -> None:
-        self.env = env
-        self.forward = Channel(env, data_kbps, loss=data_loss, delay=delay)
-        # A zero feedback allocation means feedback simply cannot be sent;
-        # model it as a channel whose loss model drops everything.
-        if feedback_kbps > 0:
-            self.reverse: Optional[Channel] = Channel(
-                env, feedback_kbps, loss=feedback_loss, delay=delay
-            )
-        else:
-            self.reverse = None
-
-    def send_data(self, packet: Packet) -> None:
-        self.forward.send(packet)
-
-    def send_feedback(self, packet: Packet) -> bool:
-        """Send on the reverse path; False if no feedback bandwidth exists."""
-        if self.reverse is None:
-            return False
-        self.reverse.send(packet)
-        return True

@@ -3,15 +3,15 @@
 The paper's analysis depends only on the *mean* per-transmission loss
 rate (Section 3 argues the consistency metric is insensitive to the loss
 pattern).  We provide a Bernoulli model matching that assumption plus a
-bursty Gilbert-Elliott model, a deterministic model, and a trace-driven
-model, so that the "loss-pattern insensitivity" claim can itself be
-tested (see the loss-model ablation bench).
+bursty Gilbert-Elliott model and a deterministic model, so that the
+"loss-pattern insensitivity" claim can itself be tested (see the
+loss-model ablation bench).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.des.rng import numbered_streams
 
@@ -190,25 +190,6 @@ class DeterministicLoss(LossModel):
     @property
     def mean_loss_rate(self) -> float:
         return 1.0 / self.period
-
-
-class TraceLoss(LossModel):
-    """Replays a recorded loss trace (True = lost), cycling at the end."""
-
-    def __init__(self, trace: Sequence[bool] | Iterable[bool]) -> None:
-        self.trace = list(trace)
-        if not self.trace:
-            raise ValueError("trace must not be empty")
-        self._pos = 0
-
-    def is_lost(self) -> bool:
-        lost = bool(self.trace[self._pos])
-        self._pos = (self._pos + 1) % len(self.trace)
-        return lost
-
-    @property
-    def mean_loss_rate(self) -> float:
-        return sum(self.trace) / len(self.trace)
 
 
 class CombinedLoss(LossModel):

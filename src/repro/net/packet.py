@@ -1,4 +1,4 @@
-"""Packet representation and unit conversions.
+"""Packet representation and the default packet size.
 
 The paper quotes bandwidths in kbps without fixing a packet size; all of
 its results depend only on *ratios* of rates.  We fix one announcement
@@ -14,20 +14,6 @@ from typing import Any, Optional
 
 #: Default announcement packet size in bits (1 kbit): kbps == packets/s.
 PACKET_BITS = 1000
-
-
-def kbps_to_pps(kbps: float, packet_bits: int = PACKET_BITS) -> float:
-    """Convert a bandwidth in kbps to packets per second."""
-    if kbps < 0:
-        raise ValueError(f"bandwidth must be non-negative, got {kbps}")
-    return kbps * 1000.0 / packet_bits
-
-
-def pps_to_kbps(pps: float, packet_bits: int = PACKET_BITS) -> float:
-    """Convert packets per second to a bandwidth in kbps."""
-    if pps < 0:
-        raise ValueError(f"rate must be non-negative, got {pps}")
-    return pps * packet_bits / 1000.0
 
 
 @dataclass(slots=True)

@@ -11,7 +11,6 @@ classes with weights, and ``dequeue()`` picks the next item to serve.
 """
 
 from repro.sched.base import Scheduler, SchedulerError
-from repro.sched.fifo import FifoScheduler
 from repro.sched.lottery import LotteryScheduler
 from repro.sched.stride import StrideScheduler
 from repro.sched.wfq import WfqScheduler
@@ -20,7 +19,6 @@ from repro.sched.hierarchical import HierarchicalScheduler
 
 __all__ = [
     "DrrScheduler",
-    "FifoScheduler",
     "HierarchicalScheduler",
     "LotteryScheduler",
     "Scheduler",

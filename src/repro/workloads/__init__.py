@@ -1,11 +1,9 @@
 """Update-process workloads for soft-state publishers.
 
 The paper's model (Section 2) drives the publisher's table with an
-update process: records arrive, are updated, and die.  Its motivation
-section names concrete instances — MBone session directories (sdr/SAP),
-route advertisements, DNS updates, and stock-quote dissemination — and
-this package provides a generator for each, plus the plain Poisson
-process used by the analysis and the figures.
+update process: records arrive, are updated, and die.  This package
+provides the Poisson process the analysis and the figures use, and a
+static bulk load (every record inserted once, then only refreshed).
 
 Every workload implements :class:`~repro.workloads.base.Workload`: a
 generator-driven process that calls ``actions`` on a publisher
@@ -15,16 +13,10 @@ generator-driven process that calls ``actions`` on a publisher
 from repro.workloads.base import PublisherActions, Workload
 from repro.workloads.poisson import PoissonUpdateWorkload
 from repro.workloads.static_bulk import StaticBulkWorkload
-from repro.workloads.session_directory import SessionDirectoryWorkload
-from repro.workloads.routing import RoutingUpdateWorkload
-from repro.workloads.stockticker import StockTickerWorkload
 
 __all__ = [
     "PoissonUpdateWorkload",
     "PublisherActions",
-    "RoutingUpdateWorkload",
-    "SessionDirectoryWorkload",
     "StaticBulkWorkload",
-    "StockTickerWorkload",
     "Workload",
 ]

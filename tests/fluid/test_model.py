@@ -3,7 +3,7 @@
 What these pin: the ODE's closed-form equilibrium (chosen so the fluid
 fixed point matches the discrete per-receiver chain *exactly*), mass
 conservation under the RK4 integrator, byte-identical trajectories
-between the numpy and pure-python integration paths, and the
+between the numpy integrator and its pure-python reference, and the
 stride-decimated Gilbert-Elliott consecutive-loss recursion against its
 textbook closed form.
 """
@@ -149,23 +149,32 @@ def test_mass_conservation_and_bounds():
     )
 
 
-def test_numpy_and_python_integrators_are_byte_identical(monkeypatch):
+def test_numpy_and_python_integrators_are_byte_identical():
     params_list = [
         FluidParams(loss=0.1, timeout_multiple=4),
         FluidParams(loss=0.4, timeout_multiple=2, churn_rate=0.3),
         FluidParams(loss=0.6, timeout_multiple=4, update_rate=0.7),
     ]
-    if fluid_model._np is None:
-        pytest.skip("numpy unavailable: only one integrator to compare")
-    vectorized = solve_many(params_list, horizon=20.0, dt=0.05)
-    monkeypatch.setattr(fluid_model, "_np", None)
-    fallback = solve_many(params_list, horizon=20.0, dt=0.05)
-    for a, b in zip(vectorized, fallback):
-        assert a.times == b.times
-        assert a.consistent == b.consistent
-        assert a.stale == b.stale
-        assert a.expired == b.expired
-        assert a.expiries == b.expiries
+    horizon, dt = 20.0, 0.05
+    vectorized = solve_many(params_list, horizon=horizon, dt=dt)
+    rates = [fluid_model.derive_rates(p) for p in params_list]
+    reference = fluid_model._integrate_python(
+        [r.acquire for r in rates],
+        [r.expire for r in rates],
+        [r.update for r in rates],
+        [r.churn for r in rates],
+        [r.false_expiry for r in rates],
+        int(round(horizon / dt)),
+        dt,
+    )
+    assert len(vectorized) == len(reference)
+    for run, (consistent, stale, expired, expiries) in zip(
+        vectorized, reference
+    ):
+        assert run.consistent == consistent
+        assert run.stale == stale
+        assert run.expired == expired
+        assert run.expiries == expiries
 
 
 def test_solve_matches_solve_many():

@@ -1,7 +1,5 @@
 """Unit tests for lossy channels."""
 
-import random
-
 import pytest
 
 from repro.des import Environment, RngStreams
@@ -9,7 +7,6 @@ from repro.net import (
     BernoulliLoss,
     Channel,
     DeterministicLoss,
-    DuplexPath,
     MulticastChannel,
     NoLoss,
     Packet,
@@ -123,21 +120,9 @@ def test_channel_loss_drops_packets():
     assert channel.observed_loss_rate == pytest.approx(0.5)
 
 
-def test_channel_serviced_hook_reports_loss_outcome():
-    env = Environment()
-    channel = Channel(env, rate_kbps=10.0, loss=DeterministicLoss(period=3))
-    outcomes = []
-    channel.on_serviced(lambda p, lost: outcomes.append(lost))
-    for _ in range(3):
-        channel.send(Packet())
-    env.run(until=10.0)
-    assert outcomes == [False, False, True]
-
-
 def test_channel_service_rate_matches_packet_size():
     env = Environment()
     channel = Channel(env, rate_kbps=128.0)
-    assert channel.service_rate_pps == 128.0
     assert channel.service_time(Packet()) == pytest.approx(1 / 128.0)
 
 
@@ -202,18 +187,6 @@ def test_multicast_leave_stops_delivery():
     assert got == [0]
 
 
-def test_multicast_serviced_hook_sees_per_receiver_outcomes():
-    env = Environment()
-    mc = MulticastChannel(env, rate_kbps=10.0)
-    mc.join("a", lambda p: None, loss=NoLoss())
-    mc.join("b", lambda p: None, loss=DeterministicLoss(period=1))
-    seen = []
-    mc.on_serviced(lambda p, outcomes: seen.append(dict(outcomes)))
-    mc.send(Packet())
-    env.run(until=1.0)
-    assert seen == [{"a": False, "b": True}]
-
-
 def _settle_order(env, channel, packets):
     """Transmit ``packets`` back to back; return (index, time, value)
     for each completion, in the order they fire."""
@@ -272,10 +245,11 @@ def test_multicast_sinks_receive_the_serviced_packet_itself(delay):
     ]:
         mc.join(rid, lambda p, rid=rid: received.append((rid, p)), loss=loss)
     serviced = []
-    mc.on_serviced(lambda p, outcomes: serviced.append((p, dict(outcomes))))
     sent = [Packet(seq=seq) for seq in range(12)]
     for packet in sent:
-        mc.send(packet)
+        mc.transmit(packet).callbacks.append(
+            lambda event, packet=packet: serviced.append((packet, event.value))
+        )
     env.run(until=10.0)
     assert [p for p, _ in serviced] == sent
     expected = [
@@ -289,22 +263,3 @@ def test_multicast_sinks_receive_the_serviced_packet_itself(delay):
         assert rid == want_rid
         assert got is want
 
-
-def test_duplex_path_routes_both_directions():
-    env = Environment()
-    path = DuplexPath(env, data_kbps=10.0, feedback_kbps=5.0)
-    data, feedback = [], []
-    path.forward.subscribe(lambda p: data.append(p.kind))
-    path.reverse.subscribe(lambda p: feedback.append(p.kind))
-    path.send_data(Packet(kind="announce"))
-    assert path.send_feedback(Packet(kind="nack"))
-    env.run(until=5.0)
-    assert data == ["announce"]
-    assert feedback == ["nack"]
-
-
-def test_duplex_path_zero_feedback_bandwidth():
-    env = Environment()
-    path = DuplexPath(env, data_kbps=10.0, feedback_kbps=0.0)
-    assert path.reverse is None
-    assert not path.send_feedback(Packet(kind="nack"))

@@ -11,7 +11,6 @@ from repro.net import (
     DeterministicLoss,
     GilbertElliottLoss,
     NoLoss,
-    TraceLoss,
 )
 
 
@@ -95,24 +94,6 @@ def test_deterministic_loss_pattern():
     outcomes = [model.is_lost() for _ in range(8)]
     assert outcomes == [False, False, False, True] * 2
     assert model.mean_loss_rate == 0.25
-
-
-def test_trace_loss_replays_and_cycles():
-    model = TraceLoss([True, False, False])
-    assert [model.is_lost() for _ in range(6)] == [
-        True,
-        False,
-        False,
-        True,
-        False,
-        False,
-    ]
-    assert abs(model.mean_loss_rate - 1 / 3) < 1e-12
-
-
-def test_trace_loss_rejects_empty():
-    with pytest.raises(ValueError):
-        TraceLoss([])
 
 
 def test_combined_loss_survival_product():

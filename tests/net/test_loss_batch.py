@@ -25,8 +25,21 @@ from repro.net import (
     NoLoss,
     Packet,
     TotalLoss,
-    TraceLoss,
 )
+
+
+class _Replay(LossModel):
+    """Replays a fixed loss pattern (True = lost), cycling at the end:
+    a stateful model the fan-out can only reach through ``is_lost()``."""
+
+    def __init__(self, pattern):
+        self.pattern = list(pattern)
+        self._pos = 0
+
+    def is_lost(self):
+        lost = self.pattern[self._pos]
+        self._pos = (self._pos + 1) % len(self.pattern)
+        return lost
 
 
 def _combined_disjoint():
@@ -63,7 +76,7 @@ MODEL_FACTORIES = {
         rng=random.Random(10),
     ),
     "deterministic": lambda: DeterministicLoss(period=4, offset=2),
-    "trace": lambda: TraceLoss([True, False, False, True, False]),
+    "trace": lambda: _Replay([True, False, False, True, False]),
     "combined": _combined_disjoint,
     "combined_shared_rng": _combined_shared_rng,
 }
@@ -82,11 +95,9 @@ def fan_out(model, n, blocked=False):
         mc.join(member, lambda p: None, loss=model)
         if blocked:
             mc.block(member)
-    outcomes = []
-    mc.on_serviced(lambda p, o: outcomes.append(list(o.values())))
-    mc.send(Packet(seq=0))
+    done = mc.transmit(Packet(seq=0))
     env.run(until=1.0)
-    return outcomes[0]
+    return list(done.value.values())
 
 
 def draws(model, n):
@@ -138,7 +149,7 @@ def test_degenerate_bernoulli_batches_consume_no_randomness():
 
 def test_trace_batch_wraps_like_scalar_replay():
     pattern = [True, False, True]
-    model = TraceLoss(pattern)
+    model = _Replay(pattern)
     assert fan_out(model, 8) == [
         True, False, True, True, False, True, True, False,
     ]

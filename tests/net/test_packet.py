@@ -1,30 +1,16 @@
-"""Unit tests for packet representation and unit conversion."""
+"""Unit tests for packet representation."""
 
 import pytest
 
-from repro.net import PACKET_BITS, Packet, kbps_to_pps, pps_to_kbps
+from repro.des import Environment
+from repro.net import PACKET_BITS, Channel, Packet
 
 
 def test_default_packet_size_makes_kbps_equal_pps():
     assert PACKET_BITS == 1000
-    assert kbps_to_pps(45.0) == 45.0
-    assert pps_to_kbps(128.0) == 128.0
-
-
-def test_round_trip_conversion():
-    assert pps_to_kbps(kbps_to_pps(17.5)) == pytest.approx(17.5)
-
-
-def test_conversion_with_other_packet_size():
-    # 8000-bit (1 KB) packets: 80 kbps is 10 packets/s.
-    assert kbps_to_pps(80.0, packet_bits=8000) == 10.0
-
-
-def test_negative_rates_rejected():
-    with pytest.raises(ValueError):
-        kbps_to_pps(-1.0)
-    with pytest.raises(ValueError):
-        pps_to_kbps(-1.0)
+    # A 45 kbps channel serves 45 default-size packets per second.
+    channel = Channel(Environment(), rate_kbps=45.0)
+    assert 1.0 / channel.service_time(Packet()) == pytest.approx(45.0)
 
 
 def test_packet_fields_and_uid_uniqueness():

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.sched import (
     DrrScheduler,
-    FifoScheduler,
     LotteryScheduler,
     StrideScheduler,
     WfqScheduler,
@@ -30,7 +29,6 @@ FACTORIES = {
     "lottery": lambda: LotteryScheduler(rng=random.Random(7)),
     "wfq": WfqScheduler,
     "drr": DrrScheduler,
-    "fifo": FifoScheduler,
 }
 
 _item = st.integers(min_value=0, max_value=4)

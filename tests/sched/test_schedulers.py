@@ -6,7 +6,6 @@ import pytest
 
 from repro.sched import (
     DrrScheduler,
-    FifoScheduler,
     LotteryScheduler,
     SchedulerError,
     StrideScheduler,
@@ -139,33 +138,6 @@ def test_share_accounting(factory):
 
 
 # -- discipline-specific behaviour -------------------------------------------
-
-
-def test_fifo_scheduler_global_arrival_order():
-    scheduler = FifoScheduler()
-    scheduler.add_class("a")
-    scheduler.add_class("b")
-    scheduler.enqueue("a", 1)
-    scheduler.enqueue("b", 2)
-    scheduler.enqueue("a", 3)
-    order = []
-    while (result := scheduler.dequeue()) is not None:
-        order.append(result)
-    assert order == [("a", 1), ("b", 2), ("a", 3)]
-
-
-def test_fifo_scheduler_default_class():
-    scheduler = FifoScheduler()
-    scheduler.enqueue(item="x")
-    assert scheduler.dequeue() == (FifoScheduler.DEFAULT_CLASS, "x")
-
-
-def test_fifo_remove():
-    scheduler = FifoScheduler()
-    scheduler.enqueue("q", "a")
-    scheduler.enqueue("q", "b")
-    assert scheduler.remove("q", "a")
-    assert scheduler.dequeue() == ("q", "b")
 
 
 def test_stride_is_deterministic_and_smooth():

@@ -6,12 +6,7 @@ import random
 import pytest
 
 from repro.des import Environment
-from repro.workloads import (
-    PoissonUpdateWorkload,
-    RoutingUpdateWorkload,
-    SessionDirectoryWorkload,
-    StockTickerWorkload,
-)
+from repro.workloads import PoissonUpdateWorkload
 
 
 class RecordingActions:
@@ -109,149 +104,6 @@ def test_poisson_validation():
 def test_poisson_describe():
     text = PoissonUpdateWorkload(arrival_rate=15.0, lifetime_mean=30.0).describe()
     assert "15" in text and "30" in text
-
-
-# -- Session directory ----------------------------------------------------------
-
-
-def test_session_directory_sessions_are_long_lived():
-    workload = SessionDirectoryWorkload(
-        session_rate=0.05, session_duration_mean=600.0
-    )
-    actions = run_workload(workload, horizon=20000.0)
-    assert len(actions.inserts) > 10
-    lifetimes = [lifetime for _, _, _, lifetime in actions.inserts]
-    assert sum(lifetimes) / len(lifetimes) == pytest.approx(600.0, rel=0.3)
-
-
-def test_session_directory_edits_only_live_sessions():
-    workload = SessionDirectoryWorkload(
-        session_rate=0.05, session_duration_mean=500.0, edit_interval_mean=50.0
-    )
-    actions = run_workload(workload, horizon=20000.0)
-    assert actions.updates  # edits do happen
-    # Every edit's key was inserted earlier, and before its expiry.
-    expiry = {
-        key: t + lifetime for t, key, _, lifetime in actions.inserts
-    }
-    for t, key, _ in actions.updates:
-        assert key in expiry
-        assert t < expiry[key]
-
-
-def test_session_directory_announcement_shape():
-    workload = SessionDirectoryWorkload(session_rate=0.1)
-    actions = run_workload(workload, horizon=500.0)
-    _, _, value, _ = actions.inserts[0]
-    assert {"name", "media", "bandwidth_kbps"} <= set(value)
-
-
-def test_session_directory_validation():
-    with pytest.raises(ValueError):
-        SessionDirectoryWorkload(session_rate=0.0)
-    with pytest.raises(ValueError):
-        SessionDirectoryWorkload(session_duration_mean=-1.0)
-
-
-# -- Routing ---------------------------------------------------------------------
-
-
-def test_routing_initial_table_installed_immediately():
-    workload = RoutingUpdateWorkload(n_routes=20)
-    actions = run_workload(workload, horizon=1.0)
-    assert len(actions.inserts) == 20
-    assert all(lifetime == math.inf for _, _, _, lifetime in actions.inserts)
-
-
-def test_routing_flaps_update_known_routes():
-    workload = RoutingUpdateWorkload(n_routes=10, flap_interval_mean=5.0)
-    actions = run_workload(workload, horizon=500.0)
-    inserted = {key for _, key, _, _ in actions.inserts}
-    assert actions.updates
-    assert {key for _, key, _ in actions.updates} <= inserted
-
-
-def test_routing_flappy_routes_flap_more():
-    workload = RoutingUpdateWorkload(
-        n_routes=40,
-        flap_interval_mean=100.0,
-        flappy_fraction=0.25,
-        flappy_speedup=50.0,
-    )
-    actions = run_workload(workload, horizon=2000.0)
-    counts = {}
-    for _, key, _ in actions.updates:
-        counts[key] = counts.get(key, 0) + 1
-    ordered = sorted(counts.values(), reverse=True)
-    # The flappy quarter should dominate total updates.
-    top = sum(ordered[: len(ordered) // 4])
-    assert top / sum(ordered) > 0.7
-
-
-def test_routing_value_shape():
-    workload = RoutingUpdateWorkload(n_routes=1)
-    actions = run_workload(workload, horizon=1.0)
-    _, _, value, _ = actions.inserts[0]
-    assert {"next_hop", "metric"} <= set(value)
-
-
-def test_routing_validation():
-    with pytest.raises(ValueError):
-        RoutingUpdateWorkload(n_routes=0)
-    with pytest.raises(ValueError):
-        RoutingUpdateWorkload(flappy_fraction=1.5)
-    with pytest.raises(ValueError):
-        RoutingUpdateWorkload(flappy_speedup=0.5)
-
-
-# -- Stock ticker -------------------------------------------------------------------
-
-
-def test_ticker_installs_universe_then_updates():
-    workload = StockTickerWorkload(n_symbols=50, total_update_rate=10.0)
-    actions = run_workload(workload, horizon=200.0)
-    assert len(actions.inserts) == 50
-    assert len(actions.updates) == pytest.approx(2000, rel=0.1)
-
-
-def test_ticker_zipf_concentrates_updates():
-    workload = StockTickerWorkload(
-        n_symbols=100, total_update_rate=50.0, zipf_exponent=1.2
-    )
-    actions = run_workload(workload, horizon=400.0)
-    counts = {}
-    for _, key, _ in actions.updates:
-        counts[key] = counts.get(key, 0) + 1
-    hottest = workload.symbol(0)
-    assert counts[hottest] == max(counts.values())
-    # Top-10 symbols should take well over their uniform share.
-    top10 = sum(
-        counts.get(workload.symbol(i), 0) for i in range(10)
-    )
-    assert top10 / len(actions.updates) > 0.3
-
-
-def test_ticker_zipf_zero_is_uniform():
-    workload = StockTickerWorkload(n_symbols=10, zipf_exponent=0.0)
-    assert workload.update_rate_of(0) == pytest.approx(
-        workload.update_rate_of(9)
-    )
-
-
-def test_ticker_prices_move():
-    workload = StockTickerWorkload(n_symbols=1, total_update_rate=20.0)
-    actions = run_workload(workload, horizon=100.0)
-    prices = {value["price"] for _, _, value in actions.updates}
-    assert len(prices) > 10
-
-
-def test_ticker_validation():
-    with pytest.raises(ValueError):
-        StockTickerWorkload(n_symbols=0)
-    with pytest.raises(ValueError):
-        StockTickerWorkload(total_update_rate=0.0)
-    with pytest.raises(ValueError):
-        StockTickerWorkload(zipf_exponent=-1.0)
 
 
 # -- Static bulk ---------------------------------------------------------------
