@@ -108,10 +108,10 @@ def _in_scope(name: str, prefixes: Sequence[str]) -> bool:
 def _spec(module: str) -> Any:
     """``module``'s spec, found without importing (executing) anything.
 
-    A loaded module answers from ``sys.modules``; a top-level name is
-    looked up on ``sys.path``; a submodule is looked up on its parent
-    package's search locations.  ``importlib.util.find_spec`` would
-    import the parent instead.
+    A loaded module answers from ``sys.modules``; a top-level name goes
+    to the import system's finders, which load nothing; a submodule is
+    looked up on its parent package's search locations, where
+    ``importlib.util.find_spec`` would import the parent first.
     """
     loaded = sys.modules.get(module)
     if loaded is not None:

@@ -14,8 +14,8 @@ hashes exactly four things:
 * the **cache schema version** — bumping :data:`CACHE_SCHEMA_VERSION`
   orphans every existing entry at once;
 * the **code fingerprint** — see :mod:`repro.cache.fingerprint`;
-* the **environment pin** — the numpy version.  The fluid backend draws through numpy's bit
-  generators, whose stream layouts numpy only guarantees within a
+* the **environment pin** — the numpy version.  The fluid backend
+  integrates with numpy, whose float results are only pinned within a
   version, so an upgrade must orphan vectorized results rather than
   replay them.
 
